@@ -30,22 +30,25 @@ class DecoderConfig:
 
 
 def _branch_score(prompts: Tensor, flat_feats: Tensor, tau: float) -> Tensor:
-    scores = T.matmul(prompts, flat_feats)            # [N, HW]
+    scores = T.matmul(prompts, flat_feats)            # [N, HW] or [B, N, HW]
     return T.scale(T.logsumexp0(T.scale(scores, 1.0 / tau)), tau)
 
 
 def decode(pos_labeled: Tensor, neg_labeled: Tensor | None, feats: Tensor,
            cfg: DecoderConfig = DecoderConfig()) -> Tensor:
-    """Decode labeled prompts against a feature map [d, H, W] into [H, W] probabilities."""
-    if feats.ndim != 3:
-        raise ShapeMismatch(f"decoder features must be [d, H, W], got {feats.shape}")
-    d, h, w = feats.shape
-    if pos_labeled.ndim != 2 or pos_labeled.shape[1] != d:
-        raise ShapeMismatch(f"positive prompts {pos_labeled.shape} do not match feature width {d}")
-    if neg_labeled is not None and (neg_labeled.ndim != 2 or neg_labeled.shape[1] != d):
-        raise ShapeMismatch(f"negative prompts {neg_labeled.shape} do not match feature width {d}")
-    flat = T.reshape(feats, (d, h * w))
+    """Decode labeled prompts against a feature map [d, H, W] into [H, W]
+    probabilities, or per episode: [B, N, d] prompts against [B, d, H, W]
+    maps into [B, H, W]."""
+    if feats.ndim not in (3, 4):
+        raise ShapeMismatch(f"decoder features must be [d, H, W] or [B, d, H, W], got {feats.shape}")
+    lead = feats.shape[:-3]
+    d, h, w = feats.shape[-3:]
+    for name, prompts in (("positive", pos_labeled), ("negative", neg_labeled)):
+        if prompts is not None and (prompts.ndim != len(lead) + 2 or prompts.shape[:-2] != lead
+                                    or prompts.shape[-1] != d):
+            raise ShapeMismatch(f"{name} prompts {prompts.shape} do not match features {feats.shape}")
+    flat = T.reshape(feats, lead + (d, h * w))
     logit = _branch_score(pos_labeled, flat, cfg.tau)
     if neg_labeled is not None:
         logit = T.sub(logit, _branch_score(neg_labeled, flat, cfg.tau))
-    return T.reshape(T.sigmoid(logit), (h, w))
+    return T.reshape(T.sigmoid(logit), lead + (h, w))

@@ -17,6 +17,9 @@ branch parameters swaps the branch outputs exactly. Per branch:
 Feature maps come from the stub encoders and are constants; gradients reach
 the parameters through fusion, the attention projections, the learned
 queries, and the label embeddings.
+
+A batch of episodes runs the same code on stacked inputs: every map, mask
+and result gains a leading batch axis, and the parameters are shared.
 """
 from __future__ import annotations
 
@@ -143,59 +146,79 @@ class PromptSet:
 
 
 def mask_average(feat: Tensor, mask: Tensor) -> Tensor:
-    """Masked global average pool: [C, H, W] with [H, W] -> [C]. Detached."""
-    if feat.ndim != 3 or mask.ndim != 2 or feat.shape[1:] != mask.shape:
+    """Masked global average pool: [C, H, W] with [H, W] -> [C], or per
+    episode [B, C, H, W] with [B, H, W] -> [B, C]. Detached."""
+    if (feat.ndim not in (3, 4) or mask.ndim != feat.ndim - 1
+            or feat.shape[:-3] + feat.shape[-2:] != mask.shape):
         raise ShapeMismatch(f"mask_average: feature {feat.shape} vs mask {mask.shape}")
     m = mask.data
     if not np.isin(m, (0.0, 1.0)).all():
         raise ValueError("mask_average: mask must be binary")
-    pooled = (feat.data * m[None]).sum(axis=(1, 2)) / (m.sum() + 1e-6)
+    m = m[..., None, :, :]
+    pooled = (feat.data * m).sum(axis=(-2, -1)) / (m.sum(axis=(-2, -1)) + 1e-6)
     return Tensor(pooled)
 
 
 def max_cosine_map(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
     """Per query position, the best cosine similarity to any masked support
-    position: [C, H, W] x [C, H, W] x [H, W] -> [H, W]. Detached."""
-    if f_q.ndim != 3 or f_s.ndim != 3 or f_q.shape[0] != f_s.shape[0]:
+    position: [C, H, W] x [C, H, W] x [H, W] -> [H, W], or per episode of a
+    batch [B, C, H, W] x [B, C, H, W] x [B, H, W] -> [B, H, W]. Detached.
+
+    Similarities are taken episode by episode against the masked support
+    positions only: selecting them first costs less than one batched
+    matrix over every support position.
+    """
+    if (f_q.ndim not in (3, 4) or f_s.ndim != f_q.ndim
+            or f_q.shape[:-2] != f_s.shape[:-2]):
         raise ShapeMismatch(f"max_cosine_map: features {f_q.shape} vs {f_s.shape}")
-    if support_mask.shape != f_s.shape[1:]:
+    lead = f_s.shape[:-3]
+    if support_mask.shape != lead + f_s.shape[-2:]:
         raise ShapeMismatch(f"max_cosine_map: mask {support_mask.shape} vs {f_s.shape}")
-    m = support_mask.data.reshape(-1).astype(bool)
-    if not m.any():
+    m = support_mask.data.reshape(lead + (-1,)).astype(bool)
+    if not m.any(axis=-1).all():
         raise EmptySupportMask("prior mask needs at least one masked support position")
-    c, h, w = f_q.shape
-    q = f_q.data.reshape(c, -1).T
-    s = f_s.data.reshape(c, -1).T[m]
-    qn = np.linalg.norm(q, axis=1)
-    sn = np.linalg.norm(s, axis=1)
-    sims = (q @ s.T) / (qn[:, None] * sn[None, :] + 1e-12)
-    return Tensor(sims.max(axis=1).reshape(h, w))
+    c, h, w = f_q.shape[-3:]
+    q = np.swapaxes(f_q.data.reshape(lead + (c, -1)), -1, -2)     # [..., HW, C]
+    s = np.swapaxes(f_s.data.reshape(lead + (c, -1)), -1, -2)
+    qn = np.linalg.norm(q, axis=-1)
+    sn = np.linalg.norm(s, axis=-1)
+    best = np.empty(lead + (h * w,))
+    for idx in np.ndindex(lead):
+        keep = m[idx]
+        sims = (q[idx] @ s[idx][keep].T) / (qn[idx][:, None] * sn[idx][keep][None, :] + 1e-12)
+        best[idx] = sims.max(axis=1)
+    return Tensor(best.reshape(lead + (h, w)))
 
 
 def prior_mask(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
-    """Min-max normalized best-similarity map; a constant map becomes zeros."""
+    """Min-max normalized best-similarity map, per episode of a batch; a
+    constant map becomes zeros."""
     raw = max_cosine_map(f_q, f_s, support_mask).data
-    lo, hi = raw.min(), raw.max()
-    if hi - lo < 1e-12:
-        return Tensor(np.zeros_like(raw))
-    return Tensor((raw - lo) / (hi - lo))
+    lo = raw.min(axis=(-2, -1), keepdims=True)
+    span = raw.max(axis=(-2, -1), keepdims=True) - lo
+    flat = span < 1e-12
+    return Tensor(np.where(flat, 0.0, (raw - lo) / np.where(flat, 1.0, span)))
 
 
 def fuse(feat: Tensor, pooled: Tensor, f_sam: Tensor, prior: Tensor | None,
          params: ModelParams) -> Tensor:
     """Channel-concatenate [feat; pooled broadcast; SAM map; prior slot] and
     project with the shared 1x1 conv. A missing prior feeds zeros into its
-    reserved channel so support and query side share one weight shape."""
-    if feat.ndim != 3 or f_sam.ndim != 3 or feat.shape[1:] != f_sam.shape[1:]:
+    reserved channel so support and query side share one weight shape.
+    Batched inputs carry a leading batch axis on every argument."""
+    if (feat.ndim not in (3, 4) or f_sam.ndim != feat.ndim
+            or feat.shape[:-3] + feat.shape[-2:] != f_sam.shape[:-3] + f_sam.shape[-2:]):
         raise ShapeMismatch(f"fuse: feature {feat.shape} vs SAM map {f_sam.shape}")
-    h, w = feat.shape[1:]
+    lead = feat.shape[:-3]
+    h, w = feat.shape[-2:]
     if prior is None:
-        prior_chan = T.zeros((1, h, w))
+        prior_chan = T.zeros(lead + (1, h, w))
     else:
-        if prior.shape != (h, w):
+        if prior.shape != lead + (h, w):
             raise ShapeMismatch(f"fuse: prior {prior.shape} does not match {h}x{w}")
-        prior_chan = T.reshape(prior, (1, h, w))
-    stacked = T.concat_channels([feat, T.tile_spatial(pooled, h, w), f_sam, prior_chan])
+        prior_chan = T.reshape(prior, lead + (1, h, w))
+    stacked = T.concat_channels([feat, T.tile_spatial(pooled, h, w), f_sam, prior_chan],
+                                batched=bool(lead))
     return T.conv1x1(stacked, params.fusion_w, params.fusion_b)
 
 
@@ -207,13 +230,14 @@ def label_prompts(pos: Tensor, neg: Tensor | None, params: ModelParams
     return pos_labeled, neg_labeled
 
 
-def _flat_mask(mask_2d: np.ndarray) -> Tensor:
-    return Tensor(mask_2d.reshape(-1))
+def _flat_mask(mask: np.ndarray) -> Tensor:
+    # [H, W] -> [HW], per episode of a batch
+    return Tensor(mask.reshape(mask.shape[:-2] + (-1,)))
 
 
 def _as_tokens(fused: Tensor, hw: int) -> Tensor:
-    # [d, H, W] -> [HW, d]
-    return T.transpose(T.reshape(fused, (fused.shape[0], hw)))
+    # [d, H, W] -> [HW, d], per episode of a batch
+    return T.transpose(T.reshape(fused, fused.shape[:-2] + (hw,)))
 
 
 def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Tensor,
@@ -223,13 +247,19 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
     ``support_mask`` is binary at the feature resolution. The pseudo mask is
     the mediate-prompt decode thresholded at 0.5 (positive-branch view),
     detached: gradients reach the loss only through the final decode.
+
+    A batch of episodes stacks the maps [B, C, H, W] and the support masks
+    [B, H, W]; prompts and pseudo masks then come back stacked as well.
     """
-    h, w = support.mid.shape[1:]
+    if support.mid.ndim not in (3, 4):
+        raise ShapeMismatch(f"support maps must be [C, H, W] or [B, C, H, W], got {support.mid.shape}")
+    lead = support.mid.shape[:-3]
+    h, w = support.mid.shape[-2:]
     for name, maps in (("support", support), ("query", query)):
         for m in (maps.mid, maps.high, maps.sam):
-            if m.shape[1:] != (h, w):
+            if m.ndim != len(lead) + 3 or m.shape[:-3] + m.shape[-2:] != lead + (h, w):
                 raise ShapeMismatch(f"{name} maps disagree on spatial size {m.shape}")
-    if support_mask.shape != (h, w):
+    if support_mask.shape != lead + (h, w):
         raise ShapeMismatch(f"support mask {support_mask.shape} does not match {h}x{w} features")
     mask = support_mask.data
     if not np.isin(mask, (0.0, 1.0)).all():
@@ -239,7 +269,7 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
     if cfg.use_neg_branch:
         branch_masks["neg"] = 1.0 - mask
     for name, bm in branch_masks.items():
-        if bm.sum() == 0:
+        if not bm.reshape(-1, h * w).any(axis=1).all():
             raise EmptySupportMask(f"{name} branch has no support pixels")
 
     hw = h * w
@@ -255,22 +285,24 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
         bm_t = Tensor(bm)
         pooled = mask_average(support.mid, bm_t)
         prior = prior_mask(query.high, support.high, bm_t) if cfg.use_prior_mask else None
-        fused_s = fuse(support.mid, pooled, sam_s, None, params)
-        fused_q = fuse(query.mid, pooled, sam_q, prior, params)
-        tokens_s = _as_tokens(fused_s, hw)
-        tokens_q = _as_tokens(fused_q, hw)
+        # No fused map outlives its tokens, and the query tokens are made
+        # after the attention: off the tape, a batch holds fewer arrays at once.
+        tokens_s = _as_tokens(fuse(support.mid, pooled, sam_s, None, params), hw)
         q_init = params.q_pos if branch == "pos" else params.q_neg
         block = params.attn_support
         if cfg.use_cyc_bias:
             mediate = cycle_consistent_attention(block, q_init, tokens_s, _flat_mask(bm))
         else:
             mediate = cross_attention(block, q_init, tokens_s)
-        return mediate, tokens_q
+        return mediate, _as_tokens(fuse(query.mid, pooled, sam_q, prior, params), hw)
 
     med_pos, tokens_q_pos = support_pass("pos")
     med_neg, tokens_q_neg = (support_pass("neg") if cfg.use_neg_branch else (None, None))
 
-    med_pos_labeled, med_neg_labeled = label_prompts(med_pos, med_neg, params)
+    # The pseudo mask is thresholded, so no gradient reaches its decode; run
+    # that decode off the tape.
+    med_pos_labeled, med_neg_labeled = (None if p is None else T.detach(p)
+                                        for p in label_prompts(med_pos, med_neg, params))
     pseudo_probs = decode(med_pos_labeled, med_neg_labeled, query.sam, cfg.decoder_config())
     pseudo = binarize(pseudo_probs, PSEUDO_THRESHOLD)
 
@@ -292,28 +324,32 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
 
 
 def downsample_mask(mask: Tensor, stride: int) -> Tensor:
-    """Block-max pooling keeps a cell foreground if any covered pixel is."""
+    """Block-max pooling keeps a cell foreground if any covered pixel is.
+    Pools the last two axes, so a stack [B, H, W] pools every mask."""
     if stride == 1:
         return mask
-    h, w = mask.shape
+    h, w = mask.shape[-2:]
     if h % stride or w % stride:
         raise ShapeMismatch(f"mask {mask.shape} is not divisible by stride {stride}")
-    blocks = mask.data.reshape(h // stride, stride, w // stride, stride)
-    return Tensor(blocks.max(axis=(1, 3)))
+    blocks = mask.data.reshape(mask.shape[:-2] + (h // stride, stride, w // stride, stride))
+    return Tensor(blocks.max(axis=(-3, -1)))
 
 
 def upsample_map(t: Tensor, stride: int) -> Tensor:
-    """Nearest-neighbor upsample of a 2-D map. Detached."""
+    """Nearest-neighbor upsample of a 2-D map, or of each map of a stack
+    [B, H, W]. Detached."""
     if stride == 1:
         return t
-    return Tensor(np.kron(t.data, np.ones((stride, stride))))
+    return Tensor(t.data.repeat(stride, axis=-2).repeat(stride, axis=-1))
 
 
 def infer_mask(support_img: Tensor, support_mask: Tensor, query_img: Tensor,
                params: ModelParams, cfg: PipelineConfig, encoder: StubEncoder) -> Tensor:
-    """Image-resolution probability map for one episode (inference path)."""
-    enc_s = encoder.encode(support_img)
-    enc_q = encoder.encode(query_img)
+    """Image-resolution probability map for one episode (inference path), or
+    for each episode of stacked images and masks [B, H, W]."""
+    batched = support_img.ndim == 3
+    enc_s = encoder.encode(support_img, batched)
+    enc_q = encoder.encode(query_img, batched)
     mask_feat = downsample_mask(support_mask, encoder.stride)
     prompts, _ = generate_prompts(enc_s, enc_q, mask_feat, params, cfg)
     probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_q.sam, cfg.decoder_config())

@@ -7,6 +7,12 @@ docstring says it is detached.
 
 Conventions:
   * all data is float64 and row-major in memory,
+  * ops with a fixed operand rank also take a stack of episodes with one
+    extra leading batch axis (``matmul``, ``transpose``, ``tile_spatial``,
+    ``add_rowvec``, ``logsumexp0``, ``masked_softmax_rows``, ``conv1x1``);
+    rank-generic ops take ``batched=True`` (``concat_channels``,
+    ``sum_all``). An unbatched operand of a batched op, typically a
+    parameter, is shared by every episode and its gradient sums over them,
   * -inf is a reserved sentinel accepted only by the bias argument of
     ``masked_softmax_rows``; every other operand must be finite,
   * argmax-style choices (none live here, see ``attention``) break ties
@@ -119,20 +125,22 @@ def _validate_values(arr: np.ndarray, neg_inf_ok: bool) -> None:
         raise ValueError("tensor data must be finite (-inf is reserved for attention bias)")
 
 
-def _wrap(arr: np.ndarray, *, neg_inf_ok: bool = False) -> Tensor:
+def _wrap(arr: np.ndarray, *, neg_inf_ok: bool = False, validate: bool = True) -> Tensor:
     """Adopt an op-owned array without copying.
 
     Unlike construction from user data, a non-finite value here means an
     operation's result overflowed, which is a numerical failure rather than
-    a validation one.
+    a validation one. Ops that only rearrange already validated values pass
+    ``validate=False``.
     """
     out = Tensor.__new__(Tensor)
     # asarray keeps rank-0 arrays rank-0 (ascontiguousarray would promote)
     arr = np.asarray(arr, dtype=np.float64, order="C")
-    try:
-        _validate_values(arr, neg_inf_ok)
-    except ValueError as err:
-        raise FloatingPointError(str(err)) from None
+    if validate:
+        try:
+            _validate_values(arr, neg_inf_ok)
+        except ValueError as err:
+            raise FloatingPointError(str(err)) from None
     arr.setflags(write=False)
     out.data = arr
     out.tape = None
@@ -146,19 +154,19 @@ def as_tensor(x) -> Tensor:
 
 
 def zeros(shape) -> Tensor:
-    return _wrap(np.zeros(shape))
+    return _wrap(np.zeros(shape), validate=False)
 
 
 def detach(t: Tensor) -> Tensor:
     """Same values, no tape: gradients stop here."""
     if t.tape is None:
         return t
-    return _wrap(t.data, neg_inf_ok=t.neg_inf_ok)
+    return _wrap(t.data, neg_inf_ok=t.neg_inf_ok, validate=False)
 
 
 def binarize(t: Tensor, threshold: float = 0.5) -> Tensor:
     """Detached hard threshold: 1.0 where value >= threshold else 0.0."""
-    return _wrap((t.data >= threshold).astype(np.float64))
+    return _wrap((t.data >= threshold).astype(np.float64), validate=False)
 
 
 class GradTape:
@@ -167,13 +175,15 @@ class GradTape:
     Operations are registered automatically whenever at least one input is
     tracked on the tape. ``watch`` marks a parameter; ``grad`` walks the
     record backwards once and returns one gradient tensor per marked
-    parameter (zeros if the loss never touched it).
+    parameter (zeros if the loss never touched it). A tape is single-use:
+    ``grad`` releases every record as it goes, and a second ``grad`` raises.
     """
 
     def __init__(self):
         self._records: list[tuple[int, tuple[int | None, ...], Callable[[np.ndarray], tuple]]] = []
         self._watched: list[Tensor] = []
         self._next_id = 0
+        self._consumed = False
 
     def watch(self, t: Tensor) -> Tensor:
         """Register a parameter and return its tracked alias."""
@@ -185,8 +195,8 @@ class GradTape:
         self._watched.append(tracked)
         return tracked
 
-    def _adopt(self, arr: np.ndarray) -> Tensor:
-        out = _wrap(arr)
+    def _adopt(self, arr: np.ndarray, validate: bool = True) -> Tensor:
+        out = _wrap(arr, validate=validate)
         out.tape = self
         out.nid = self._next_id
         self._next_id += 1
@@ -201,14 +211,22 @@ def grad(tape: GradTape, loss: Tensor) -> dict[Tensor, Tensor]:
 
     The returned map is keyed by the tracked parameter tensors returned by
     ``tape.watch``. Parameters the loss does not depend on map to zeros.
+    Each record, and each adjoint once consumed, is dropped as the walk
+    passes it, so the arrays they hold are freed without waiting for the
+    garbage collector; the tape cannot be walked again.
     """
     if loss.tape is not tape or loss.nid is None:
         raise UntrackedLoss("loss was not computed on this tape")
+    if tape._consumed:
+        raise UntrackedLoss("tape was already consumed by grad; a GradTape is single-use")
     if loss.size != 1:
         raise ShapeMismatch(f"loss must be a scalar, got shape {loss.shape}")
+    tape._consumed = True
+    records = tape._records
     adjoint: dict[int, np.ndarray] = {loss.nid: np.ones(loss.shape)}
-    for out_nid, in_nids, vjp in reversed(tape._records):
-        g = adjoint.get(out_nid)
+    while records:
+        out_nid, in_nids, vjp = records.pop()
+        g = adjoint.pop(out_nid, None)
         if g is None:
             continue
         for nid, contrib in zip(in_nids, vjp(g)):
@@ -220,10 +238,12 @@ def grad(tape: GradTape, loss: Tensor) -> dict[Tensor, Tensor]:
     for p in tape._watched:
         g = adjoint.get(p.nid)
         out[p] = _wrap(np.zeros(p.shape)) if g is None else _wrap(np.array(g, dtype=np.float64))
+    tape._watched = []
     return out
 
 
-def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, neg_inf_ok: bool = False) -> Tensor:
+def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, neg_inf_ok: bool = False,
+          validate: bool = True) -> Tensor:
     """Wrap an op result, recording it on the inputs' tape when tracked."""
     tape: GradTape | None = None
     for t in inputs:
@@ -233,8 +253,8 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, neg_inf_ok: bool =
             elif tape is not t.tape:
                 raise ValueError("operands belong to different tapes")
     if tape is None:
-        return _wrap(data, neg_inf_ok=neg_inf_ok)
-    out = tape._adopt(np.asarray(data, dtype=np.float64, order="C"))
+        return _wrap(data, neg_inf_ok=neg_inf_ok, validate=validate)
+    out = tape._adopt(np.asarray(data, dtype=np.float64, order="C"), validate)
     tape._record(out.nid, tuple(t.nid for t in inputs), vjp)
     return out
 
@@ -283,31 +303,43 @@ def _identity_vjp(g):
 
 
 def _matmul_vjp(g, a, b):
-    return g @ b.T, a.T @ g
+    if a.ndim == 2 and b.ndim == 2:
+        return g @ b.T, a.T @ g
+    ga = g @ np.swapaxes(b, -1, -2)
+    if a.ndim == 2:
+        ga = ga.sum(axis=0)
+    if b.ndim == 2:
+        # one product over every episode's rows instead of a sum of B products
+        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    else:
+        gb = np.swapaxes(a, -1, -2) @ g
+    return ga, gb
 
 
 def _transpose_vjp(g):
-    return (g.T,)
+    return (np.swapaxes(g, -1, -2),)
 
 
 def _reshape_vjp(g, shape):
     return (np.ascontiguousarray(g).reshape(shape),)
 
 
-def _concat_vjp(g, cuts):
-    return tuple(np.split(g, cuts, axis=0))
+def _concat_vjp(g, cuts, axis):
+    return tuple(np.split(g, cuts, axis=axis))
 
 
 def _tile_spatial_vjp(g):
-    return (g.sum(axis=(1, 2)),)
+    return (g.sum(axis=(-2, -1)),)
 
 
 def _add_rowvec_vjp(g):
-    return g, g.sum(axis=0)
+    return g, g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def _sum_all_vjp(g, shape):
-    return (np.full(shape, float(g)),)
+    if g.ndim == 0:
+        return (np.full(shape, float(g)),)
+    return (np.broadcast_to(g.reshape(g.shape + (1,) * (len(shape) - 1)), shape),)
 
 
 def _exp_vjp(g, out):
@@ -327,18 +359,29 @@ def _clamp_vjp(g, a, lo, hi):
 
 
 def _logsumexp0_vjp(g, soft):
-    return (soft * g[None, :],)
+    return (soft * g[..., None, :],)
 
 
 def _masked_softmax_vjp(g, s):
-    return (s * (g - (g * s).sum(axis=1, keepdims=True)), None)
+    out = g - (g * s).sum(axis=-1, keepdims=True)
+    out *= s
+    return (out, None)
 
 
 def _conv1x1_vjp(g, x, w):
+    if x.ndim == 3:
+        return (
+            np.einsum("oc,ohw->chw", w, g),
+            np.einsum("ohw,chw->oc", g, x),
+            g.sum(axis=(1, 2)),
+        )
+    b, o = g.shape[:2]
+    g_flat = g.reshape(b, o, -1)
+    x_flat = x.reshape(b, x.shape[1], -1)
     return (
-        np.einsum("oc,ohw->chw", w, g),
-        np.einsum("ohw,chw->oc", g, x),
-        g.sum(axis=(1, 2)),
+        (w.T @ g_flat).reshape(x.shape),
+        np.tensordot(g_flat, x_flat, axes=([0, 2], [0, 2])),
+        g_flat.sum(axis=(0, 2)),
     )
 
 
@@ -388,26 +431,33 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     _reject_bias("scale", a)
     c = float(c)
+    if c == 1.0:
+        return a    # exact identity: no new values, nothing to record
     return _emit(a.data * c, (a,), lambda g: _scale_vjp(g, c))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-D matrix product."""
+    """Strict 2-D matrix product, or a batch of them: a 3-D operand is a
+    stack [B, n, k] or [B, k, m], and a 2-D operand is shared by the batch."""
     a, b = as_tensor(a), as_tensor(b)
     _reject_bias("matmul", a, b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
+        raise ShapeMismatch(f"matmul needs 2-D or batched 3-D operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul: inner dims differ ({a.shape} @ {b.shape})")
+    if a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"matmul: batch sizes differ ({a.shape} @ {b.shape})")
     da, db = a.data, b.data
     return _emit(da @ db, (a, b), lambda g: _matmul_vjp(g, da, db))
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Matrix transpose; a batched [B, r, c] transposes every episode."""
     _reject_bias("transpose", a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _emit(np.ascontiguousarray(a.data.T), (a,), lambda g: _transpose_vjp(g))
+    if a.ndim not in (2, 3):
+        raise ShapeMismatch(f"transpose needs a 2-D or batched 3-D tensor, got {a.shape}")
+    return _emit(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,),
+                 lambda g: _transpose_vjp(g), validate=False)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -418,47 +468,61 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeMismatch(f"reshape from {a.shape} to {shape} changes the element count")
     in_shape = a.shape
-    return _emit(a.data.reshape(shape), (a,), lambda g: _reshape_vjp(g, in_shape))
+    return _emit(a.data.reshape(shape), (a,), lambda g: _reshape_vjp(g, in_shape),
+                 validate=False)
 
 
-def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0; trailing dimensions must match."""
+def concat_channels(parts: Sequence[Tensor], batched: bool = False) -> Tensor:
+    """Concatenate along axis 0 (axis 1 when ``batched``); every other
+    dimension must match."""
     if not parts:
         raise ShapeMismatch("concat_channels needs at least one tensor")
     parts = [as_tensor(p) for p in parts]
     _reject_bias("concat_channels", *parts)
-    tail = parts[0].shape[1:]
+    axis = int(batched)
+    first = parts[0].shape
+    if len(first) <= axis:
+        raise ShapeMismatch(f"concat_channels: {first} has no channel axis")
     for p in parts[1:]:
-        if p.ndim != parts[0].ndim or p.shape[1:] != tail:
-            raise ShapeMismatch(f"concat_channels: trailing dims differ ({parts[0].shape} vs {p.shape})")
-    sizes = [p.shape[0] for p in parts]
+        if (p.ndim != len(first) or p.shape[:axis] != first[:axis]
+                or p.shape[axis + 1:] != first[axis + 1:]):
+            raise ShapeMismatch(f"concat_channels: other dims differ ({first} vs {p.shape})")
+    sizes = [p.shape[axis] for p in parts]
     cuts = np.cumsum(sizes)[:-1]
-    out = np.concatenate([p.data for p in parts], axis=0)
-    return _emit(out, parts, lambda g: _concat_vjp(g, cuts))
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    return _emit(out, parts, lambda g: _concat_vjp(g, cuts, axis), validate=False)
 
 
 def tile_spatial(v: Tensor, h: int, w: int) -> Tensor:
-    """Broadcast a channel vector [C] to a constant map [C, h, w]."""
+    """Broadcast a channel vector [C] to a constant map [C, h, w], or a batch
+    [B, C] to [B, C, h, w]."""
     _reject_bias("tile_spatial", v)
-    if v.ndim != 1:
-        raise ShapeMismatch(f"tile_spatial needs a 1-D tensor, got {v.shape}")
-    out = np.broadcast_to(v.data[:, None, None], (v.shape[0], int(h), int(w))).copy()
-    return _emit(out, (v,), lambda g: _tile_spatial_vjp(g))
+    if v.ndim not in (1, 2):
+        raise ShapeMismatch(f"tile_spatial needs a 1-D or batched 2-D tensor, got {v.shape}")
+    out = np.broadcast_to(v.data[..., None, None], v.shape + (int(h), int(w))).copy()
+    return _emit(out, (v,), lambda g: _tile_spatial_vjp(g), validate=False)
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a vector [c] to every row of a matrix [r, c]."""
+    """Add a vector [c] to every row of a matrix [r, c] or of a batch [B, r, c]."""
     m, v = as_tensor(m), as_tensor(v)
     _reject_bias("add_rowvec", m, v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
+    if m.ndim not in (2, 3) or v.ndim != 1 or m.shape[-1] != v.shape[0]:
         raise ShapeMismatch(f"add_rowvec: got matrix {m.shape} and vector {v.shape}")
-    return _emit(m.data + v.data[None, :], (m, v), lambda g: _add_rowvec_vjp(g))
+    return _emit(m.data + v.data, (m, v), lambda g: _add_rowvec_vjp(g))
 
 
-def sum_all(a: Tensor) -> Tensor:
+def sum_all(a: Tensor, batched: bool = False) -> Tensor:
+    """Sum of every element; with ``batched``, one sum per episode: [B, ...] -> [B]."""
     _reject_bias("sum_all", a)
     shape = a.shape
-    return _emit(np.asarray(a.data.sum()), (a,), lambda g: _sum_all_vjp(g, shape))
+    if batched:
+        if a.ndim < 1:
+            raise ShapeMismatch("sum_all(batched=True) needs a batch axis")
+        out = a.data.reshape(shape[0], -1).sum(axis=1)
+    else:
+        out = np.asarray(a.data.sum())
+    return _emit(out, (a,), lambda g: _sum_all_vjp(g, shape))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -501,16 +565,20 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def logsumexp0(a: Tensor) -> Tensor:
-    """Stable log-sum-exp over axis 0 of a 2-D tensor: [r, c] -> [c]."""
+    """Stable log-sum-exp over the rows of a 2-D tensor: [r, c] -> [c], or
+    per episode of a batch: [B, r, c] -> [B, c]."""
     _reject_bias("logsumexp0", a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"logsumexp0 needs a 2-D tensor, got {a.shape}")
+    if a.ndim not in (2, 3):
+        raise ShapeMismatch(f"logsumexp0 needs a 2-D or batched 3-D tensor, got {a.shape}")
     x = a.data
-    m = x.max(axis=0, keepdims=True)
-    e = np.exp(x - m)
-    denom = e.sum(axis=0, keepdims=True)
-    out = (m + np.log(denom)).reshape(-1)
-    soft = e / denom
+    m = x.max(axis=-2, keepdims=True)
+    # in place: batched operands are large, and each fresh array costs more
+    # than the arithmetic done in it
+    soft = np.subtract(x, m)
+    np.exp(soft, out=soft)
+    denom = soft.sum(axis=-2, keepdims=True)
+    out = (m + np.log(denom)).squeeze(-2)
+    soft /= denom
     return _emit(out, (a,), lambda g: _logsumexp0_vjp(g, soft))
 
 
@@ -520,48 +588,48 @@ def masked_softmax_rows(x: Tensor, bias: Tensor) -> Tensor:
     The bias is a constant: it may carry the -inf sentinel (those entries
     come out exactly 0) and no gradient is propagated into it. A row whose
     entries are all masked raises AllMasked. Shapes: x is [r, c]; bias is
-    [c] or [r, c].
+    [c] or [r, c]. Batched: x is [B, r, c]; bias is one row per episode
+    [B, c], or [B, r, c].
     """
     x = as_tensor(x)
     _reject_bias("masked_softmax_rows (logits)", x)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"masked_softmax_rows needs 2-D logits, got {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ShapeMismatch(f"masked_softmax_rows needs 2-D or batched 3-D logits, got {x.shape}")
     b = as_tensor(bias) if not isinstance(bias, Tensor) else bias
-    if b.ndim == 1:
-        if b.shape[0] != x.shape[1]:
-            raise ShapeMismatch(f"bias {b.shape} does not match logits {x.shape}")
-        bdata = np.broadcast_to(b.data[None, :], x.shape)
-    elif b.ndim == 2:
-        if b.shape != x.shape:
-            raise ShapeMismatch(f"bias {b.shape} does not match logits {x.shape}")
+    if b.shape == x.shape:
         bdata = b.data
+    elif b.shape == x.shape[:-2] + x.shape[-1:]:
+        bdata = b.data[..., None, :]
     else:
-        raise ShapeMismatch(f"bias must be 1-D or 2-D, got {b.shape}")
-    logits = x.data + bdata
-    alive = np.isfinite(logits)
-    if not alive.any(axis=1).all():
+        raise ShapeMismatch(f"bias {b.shape} does not match logits {x.shape}")
+    # x is finite and the bias finite or -inf, so a row's max is -inf exactly
+    # when the whole row is masked, and a masked entry exponentiates to 0.
+    s = x.data + bdata
+    m = s.max(axis=-1, keepdims=True)
+    if np.isneginf(m).any():
         raise AllMasked("softmax row has every entry masked")
-    m = np.where(alive, logits, -np.inf).max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        shifted = logits - m
-    e = np.where(alive, np.exp(np.where(alive, shifted, 0.0)), 0.0)
-    s = e / e.sum(axis=1, keepdims=True)
+    np.subtract(s, m, out=s)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     return _emit(s, (x,), lambda g: _masked_softmax_vjp(g, s))
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Pointwise convolution: [C_in, H, W] with weight [C_out, C_in], bias [C_out].
 
-    Equivalent to a matrix product over the flattened spatial axis.
+    Equivalent to a matrix product over the flattened spatial axis. A
+    batched x [B, C_in, H, W] gives [B, C_out, H, W].
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _reject_bias("conv1x1", x, w, b)
-    if x.ndim != 3 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeMismatch(f"conv1x1: expected ranks (3, 2, 1), got {x.shape}, {w.shape}, {b.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeMismatch(f"conv1x1: weight {w.shape} does not match input channels {x.shape[0]}")
+    if x.ndim not in (3, 4) or w.ndim != 2 or b.ndim != 1:
+        raise ShapeMismatch(f"conv1x1: expected ranks (3 or 4, 2, 1), got {x.shape}, {w.shape}, {b.shape}")
+    if w.shape[1] != x.shape[-3]:
+        raise ShapeMismatch(f"conv1x1: weight {w.shape} does not match input channels {x.shape[-3]}")
     if b.shape[0] != w.shape[0]:
         raise ShapeMismatch(f"conv1x1: bias {b.shape} does not match output channels {w.shape[0]}")
     dx, dw = x.data, w.data
-    out = np.einsum("oc,chw->ohw", dw, dx) + b.data[:, None, None]
+    # einsum rather than a matrix product: every episode of a batch then
+    # gets exactly the bits it would get alone
+    out = np.einsum("oc,...chw->...ohw", dw, dx) + b.data[:, None, None]
     return _emit(out, (x, w, b), lambda g: _conv1x1_vjp(g, dx, dw))

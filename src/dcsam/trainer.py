@@ -20,7 +20,7 @@ from .pipeline import (ModelParams, PipelineConfig, downsample_mask, generate_pr
 from .decoder import decode
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, grad
-from .util import atomic_write_text, parallel_map
+from .util import atomic_write_text
 from .video import make_tube
 
 BETA1 = 0.9
@@ -79,9 +79,18 @@ class AdamW:
 
 def _episode_loss(enc_s, enc_q, mask_feat: Tensor, gt_feat: Tensor,
                   params: ModelParams, pcfg: PipelineConfig) -> Tensor:
+    """Combined loss of one episode, or one loss per episode [B] of a batch
+    (masks stacked [B, H, W])."""
     prompts, _ = generate_prompts(enc_s, enc_q, mask_feat, params, pcfg)
     probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_q.sam, pcfg.decoder_config())
-    return total_loss(probs, gt_feat)
+    return total_loss(probs, gt_feat, batched=gt_feat.ndim == 3)
+
+
+def stack_episodes(episodes: list[Episode]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Support images, support masks, query images and query masks of
+    same-sized episodes, each stacked along a leading batch axis."""
+    return tuple(Tensor(np.stack([getattr(ep, name).data for ep in episodes]))
+                 for name in ("support_img", "support_mask", "query_img", "query_mask"))
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,8 @@ class TrainResult:
 
 def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
     """Train on the fold's training classes; loss is the batch mean of the
-    per-episode combined loss, reduced in a fixed episode order."""
+    per-episode combined loss, reduced in a fixed order. A step's episodes
+    run as one stacked batch on one tape."""
     pcfg = cfg.pipeline_config()
     encoder = pcfg.encoder(cfg.seed)
     params = init_params(pcfg, cfg.seed)
@@ -111,21 +121,19 @@ def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
     for _step in range(cfg.steps):
         tape = GradTape()
         tracked, name_map = watch_params(tape, params)
-        batch_terms = []
         try:
+            episodes = []
             for _b in range(cfg.batch):
                 cls = int(fold.train_classes[int(sampler.integers(0, len(fold.train_classes)))])
-                ep = gen_episode(cls, episode_seed(cfg.seed, cls, counter), canvas)
+                episodes.append(gen_episode(cls, episode_seed(cfg.seed, cls, counter), canvas))
                 counter += 1
-                enc_s = encoder.encode(ep.support_img)
-                enc_q = encoder.encode(ep.query_img)
-                mask_f = downsample_mask(ep.support_mask, encoder.stride)
-                gt_f = downsample_mask(ep.query_mask, encoder.stride)
-                batch_terms.append(_episode_loss(enc_s, enc_q, mask_f, gt_f, tracked, pcfg))
-            acc = batch_terms[0]
-            for term in batch_terms[1:]:
-                acc = T.add(acc, term)
-            loss = T.scale(acc, 1.0 / cfg.batch)
+            support_img, support_mask, query_img, query_mask = stack_episodes(episodes)
+            enc_s = encoder.encode(support_img, batched=True)
+            enc_q = encoder.encode(query_img, batched=True)
+            mask_f = downsample_mask(support_mask, encoder.stride)
+            gt_f = downsample_mask(query_mask, encoder.stride)
+            per_episode = _episode_loss(enc_s, enc_q, mask_f, gt_f, tracked, pcfg)
+            loss = T.scale(T.sum_all(per_episode), 1.0 / cfg.batch)
         except FloatingPointError as err:
             raise DivergenceDetected(str(err)) from err
         losses.append(check(loss.item()))
@@ -172,7 +180,8 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
     """Held-out evaluation over a fixed per-config seed set.
 
     Episode i of class c uses seed hash(cfg.seed, c, i), so two models
-    evaluated under the same config see identical episodes.
+    evaluated under the same config see identical episodes. Episodes run as
+    stacked batches of at most ``cfg.batch``.
     """
     n = cfg.eval_episodes_per_class if episodes_per_class is None else int(episodes_per_class)
     if not fold.test_classes:
@@ -183,21 +192,19 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
     encoder = pcfg.encoder(cfg.seed)
     canvas = (cfg.canvas, cfg.canvas)
 
-    def run(job: tuple[int, int]) -> tuple[int, float, float]:
-        cls, i = job
-        ep = gen_episode(cls, derive_seed(cfg.seed, tag("eval"), cls, i), canvas)
-        probs = infer_mask(ep.support_img, ep.support_mask, ep.query_img,
-                           params, pcfg, encoder)
-        pred = binarize(probs)
-        return cls, iou(pred, ep.query_mask), boundary_f(pred, ep.query_mask)
-
     jobs = [(cls, i) for cls in fold.test_classes for i in range(n)]
-    rows = parallel_map(run, jobs)
     per_class: dict[int, list[float]] = {cls: [] for cls in fold.test_classes}
     f_values: list[float] = []
-    for cls, j_val, f_val in rows:
-        per_class[cls].append(j_val)
-        f_values.append(f_val)
+    for start in range(0, len(jobs), cfg.batch):
+        chunk = jobs[start:start + cfg.batch]
+        episodes = [gen_episode(cls, derive_seed(cfg.seed, tag("eval"), cls, i), canvas)
+                    for cls, i in chunk]
+        support_img, support_mask, query_img, _ = stack_episodes(episodes)
+        preds = binarize(infer_mask(support_img, support_mask, query_img, params, pcfg, encoder))
+        for (cls, _i), ep, pred in zip(chunk, episodes, preds.data):
+            pred = Tensor(pred)
+            per_class[cls].append(iou(pred, ep.query_mask))
+            f_values.append(boundary_f(pred, ep.query_mask))
     class_iou = {cls: float(np.mean(vals)) for cls, vals in per_class.items()}
     j = float(np.mean(list(class_iou.values())))
     return MetricReport.from_classes(class_iou, j=j, f=float(np.mean(f_values)))

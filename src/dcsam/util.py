@@ -1,14 +1,9 @@
-"""Small shared helpers: atomic writes and capped episode-level parallelism."""
+"""Small shared helpers: atomic writes."""
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -28,27 +23,3 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def worker_count() -> int:
-    """Parallelism cap: DCSAM_THREADS if set, else the core count."""
-    raw = os.environ.get("DCSAM_THREADS", "").strip()
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("DCSAM_THREADS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map over independent items, results in input order.
-
-    Thread-backed because the work is numpy-bound; falls back to a plain
-    loop when the cap is one so single-threaded runs have no pool overhead.
-    """
-    workers = min(worker_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -168,6 +168,11 @@ def test_oracle_suite_runs(capsys):
     assert main(["oracle", "--trials", "0", "--suite", "cyc"]) == 1
 
 
+def test_oracle_batch_suite_runs(capsys):
+    assert main(["oracle", "--suite", "batch", "--trials", "3", "--seed", "4"]) == 0
+    assert capsys.readouterr().out.startswith("batch: 3/3 trials ok (ok)")
+
+
 def test_oracle_failure_exits_two(monkeypatch, capsys):
     def broken(trials=5, seed=0):
         return SuiteResult("cyc", trials, failures=trials,

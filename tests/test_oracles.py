@@ -76,6 +76,6 @@ def test_grad_suite_catches_corrupted_backward(monkeypatch):
 
 
 def test_suites_registry():
-    assert set(SUITES) == {"cyc", "softmax", "grad"}
+    assert set(SUITES) == {"cyc", "softmax", "grad", "batch"}
     for fn in SUITES.values():
         assert callable(fn)

@@ -1,10 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 
 from dcsam.seeding import derive_seed, episode_seed, rng_for, tag
-from dcsam.util import atomic_write_text, parallel_map, worker_count
+from dcsam.util import atomic_write_text
 
 
 def test_derive_seed_deterministic():
@@ -52,41 +50,3 @@ def test_atomic_write_text(tmp_path):
     atomic_write_text(target, "replaced\n")
     assert target.read_text() == "replaced\n"
     assert list(tmp_path.rglob("*.tmp")) == []
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DCSAM_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DCSAM_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("DCSAM_THREADS")
-    assert worker_count() >= 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("DCSAM_THREADS", "4")
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-
-
-def test_parallel_map_single_thread_no_pool(monkeypatch):
-    monkeypatch.setenv("DCSAM_THREADS", "1")
-    seen_threads = set()
-
-    def record(x):
-        seen_threads.add(threading.current_thread().name)
-        return x
-
-    assert parallel_map(record, [1, 2, 3]) == [1, 2, 3]
-    assert seen_threads == {threading.main_thread().name}
-
-
-def test_parallel_map_propagates_errors(monkeypatch):
-    monkeypatch.setenv("DCSAM_THREADS", "2")
-
-    def boom(x):
-        raise RuntimeError(f"item {x}")
-
-    with pytest.raises(RuntimeError):
-        parallel_map(boom, [1, 2])

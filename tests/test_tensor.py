@@ -302,6 +302,24 @@ def test_grad_rejects_nonscalar_loss(rng):
         grad(tape, T.scale(t, 2.0))
 
 
+def test_grad_releases_the_tape(rng):
+    p = rng.normal(size=(3, 4))
+
+    def run():
+        tape = GradTape()
+        t = tape.watch(Tensor(p))
+        loss = T.sum_all(T.sigmoid(T.matmul(t, T.transpose(t))))
+        return tape, loss, grad(tape, loss)[t]
+
+    tape, loss, first = run()
+    assert tape._records == [] and tape._watched == []
+    with pytest.raises(UntrackedLoss):
+        grad(tape, loss)
+    assert np.array_equal(run()[2].data, first.data)
+    s = 1.0 / (1.0 + np.exp(-(p @ p.T)))
+    np.testing.assert_allclose(first.data, 2.0 * (s * (1.0 - s)) @ p, atol=1e-12)
+
+
 def test_watch_rejects_bias_and_double_watch():
     tape = GradTape()
     with pytest.raises(ValueError):
