@@ -9,8 +9,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .attention import (AttentionBlock, CycleBias, affinity, cross_attention,
-                        cycle_bias, cycle_consistent_attention, self_attention)
+from .attention import (AttentionBlock, affinity, cross_attention, cycle_bias,
+                        cycle_consistent_attention, self_attention)
 from .config import TrainConfig, apply_ablation, config_text, load_config, parse_config_text
 from .decoder import DecoderConfig, decode
 from .dcst import read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
@@ -34,7 +34,7 @@ from .video import MaskTube, TransformSpec, load_tube, make_tube, propagate_firs
 
 __all__ = [
     "__version__",
-    "AttentionBlock", "CycleBias", "affinity", "cross_attention", "cycle_bias",
+    "AttentionBlock", "affinity", "cross_attention", "cycle_bias",
     "cycle_consistent_attention", "self_attention",
     "TrainConfig", "apply_ablation", "config_text", "load_config", "parse_config_text",
     "DecoderConfig", "decode",

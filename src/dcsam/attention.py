@@ -1,10 +1,13 @@
-"""Cyclic-consistent cross-attention.
+"""Cross-attention with an optional cyclic-consistency bias.
 
-The bias construction walks each support position through a query-and-back
-round trip over the affinity matrix: support position j picks its strongest
-query i*, i* picks its strongest support position j*, and j stays visible
-only when j and j* carry the same mask label. Inconsistent positions are
-masked with the -inf sentinel, so their attention weight is exactly zero.
+``cross_attention`` is the one attention routine: given a support mask,
+it adds the round-trip bias of ``cycle_bias`` to its scores, and self- and
+cycle-consistent attention are calls of it. The bias walks each support
+position through a query-and-back round trip over the affinity matrix:
+support position j picks its strongest query i*, i* picks its strongest
+support position j*, and j stays visible only when j and j* carry the same
+mask label. Inconsistent positions are masked with the -inf sentinel, so
+their attention weight is exactly zero.
 
 The round trip is an argmax chain, piecewise constant in the inputs, so the
 bias is detached: no gradient flows through it, only through the affinity
@@ -34,8 +37,6 @@ class AttentionBlock:
     wk: Tensor
     wv: Tensor
 
-    n_heads = 1
-
     def __post_init__(self):
         d = self.wq.shape
         if len(d) != 2 or d[0] != d[1]:
@@ -48,20 +49,6 @@ class AttentionBlock:
         return self.wq.shape[0]
 
 
-@dataclass(frozen=True)
-class CycleBias:
-    """Additive attention bias over support positions: 0 or -inf per column,
-    one row per episode when ``batched``."""
-
-    values: Tensor  # [HW], or [B, HW] when batched; neg_inf_ok
-    batched: bool = False
-
-    def __post_init__(self):
-        rank = 2 if self.batched else 1
-        if self.values.ndim != rank:
-            raise ShapeMismatch(f"cycle bias must be {rank}-D, got {self.values.shape}")
-
-
 def affinity(q: Tensor, k: Tensor) -> Tensor:
     """Scaled dot-product affinity: [N, d] x [HW, d] -> [N, HW], batched when
     either operand is: -> [B, N, HW]."""
@@ -72,79 +59,70 @@ def affinity(q: Tensor, k: Tensor) -> Tensor:
     return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
 
 
-def _validate_flat_mask(mask: Tensor, shape: tuple[int, ...], op: str) -> np.ndarray:
-    if mask.shape != shape:
-        raise ShapeMismatch(f"{op}: mask shape {mask.shape} does not match positions {shape}")
-    m = mask.data
-    if not np.isin(m, (0.0, 1.0)).all():
-        raise ValueError(f"{op}: mask must be binary")
-    return m
-
-
-def cycle_bias(a: Tensor, mask: Tensor) -> CycleBias:
+def cycle_bias(a: Tensor, mask: Tensor) -> Tensor:
     """Round-trip consistency bias for an affinity matrix ``a`` of [N, HW].
 
     For support position j: i* = argmax_i a[i, j], then j* = argmax_j' a[i*, j'];
     bias[j] is 0 when mask[j] == mask[j*], else -inf. Ties break toward the
     smallest index. Detached by construction (operates on raw values). A
     batch [B, N, HW] with masks [B, HW] gives one chain and one bias row per
-    episode.
+    episode. The result is an additive softmax bias [HW] (or [B, HW]).
     """
     if a.ndim not in (2, 3):
         raise ShapeMismatch(f"cycle_bias needs a 2-D or batched 3-D affinity, got {a.shape}")
-    m = _validate_flat_mask(mask, a.shape[:-2] + a.shape[-1:], "cycle_bias")
+    positions = a.shape[:-2] + a.shape[-1:]
+    if mask.shape != positions:
+        raise ShapeMismatch(f"cycle_bias: mask shape {mask.shape} does not match positions {positions}")
+    m = mask.data
+    if not np.isin(m, (0.0, 1.0)).all():
+        raise ValueError("cycle_bias: mask must be binary")
     vals = a.data
     i_star = np.argmax(vals, axis=-2)         # per support position, first max
     row_best = np.argmax(vals, axis=-1)       # per query, first max
     j_star = np.take_along_axis(row_best, i_star, axis=-1)
     bias = np.where(m == np.take_along_axis(m, j_star, axis=-1), 0.0, -np.inf)
-    return CycleBias(values=Tensor(bias, neg_inf_ok=True), batched=a.ndim == 3)
+    return Tensor(bias, neg_inf_ok=True)
 
 
 def cross_attention(block: AttentionBlock, queries: Tensor, feats: Tensor,
-                    bias: CycleBias | None = None) -> Tensor:
-    """Project, score, softmax (optionally biased), and aggregate values.
+                    mask: Tensor | None = None) -> Tensor:
+    """Project, score, softmax and aggregate values; with a support ``mask``
+    over the feature positions, the scores carry its round-trip consistency
+    bias (``cycle_bias``).
 
-    queries: [N, d]; feats: [HW, d]; result: [N, d]. Batched feats [B, HW, d]
-    give [B, N, d], with queries shared [N, d] or per episode [B, N, d].
+    queries: [N, d]; feats: [HW, d]; mask: [HW]; result: [N, d]. Batched
+    feats [B, HW, d] give [B, N, d], with queries shared [N, d] or per
+    episode [B, N, d] and one mask row per episode [B, HW]. With an
+    all-equal mask the bias is all zeros, so the result equals the unbiased
+    one exactly; a bias that masks a whole softmax row raises AllMasked.
     """
-    def bias_of(scores: Tensor) -> Tensor:
-        return T.zeros(scores.shape[:-2] + scores.shape[-1:]) if bias is None else bias.values
-
-    return _attend(block, queries, feats, bias_of)
-
-
-def cycle_consistent_attention(block: AttentionBlock, queries: Tensor, feats: Tensor,
-                               mask: Tensor) -> Tensor:
-    """Cross-attention with the round-trip consistency bias of ``mask``.
-
-    With an all-equal mask the bias is all zeros and this reduces exactly to
-    unbiased cross-attention. An all-inconsistent bias makes every softmax
-    row empty and raises AllMasked. Batched as ``cross_attention``, with
-    one mask row per episode [B, HW].
-    """
-    return _attend(block, queries, feats, lambda scores: cycle_bias(scores, mask).values)
-
-
-def _attend(block: AttentionBlock, queries: Tensor, feats: Tensor, bias_of) -> Tensor:
     if queries.ndim not in (2, 3) or feats.ndim not in (2, 3):
         raise ShapeMismatch(f"attention needs 2-D or batched 3-D operands, got {queries.shape} and {feats.shape}")
     if queries.shape[-1] != block.width or feats.shape[-1] != block.width:
         raise ShapeMismatch(
             f"attention width {block.width} does not match inputs {queries.shape}, {feats.shape}")
-    weights = _attention_weights(block, queries, feats, bias_of)
+    weights = _attention_weights(block, queries, feats, mask)
     return T.matmul(weights, T.matmul(feats, block.wv))
 
 
-def _attention_weights(block: AttentionBlock, queries: Tensor, feats: Tensor, bias_of) -> Tensor:
-    # Separate from _attend so that, off the tape, keys and scores are freed
-    # before the values are projected: a batch then holds one [B, N, HW]
-    # array fewer at its peak.
+def _attention_weights(block: AttentionBlock, queries: Tensor, feats: Tensor,
+                       mask: Tensor | None) -> Tensor:
+    # Separate from cross_attention so that, off the tape, keys and scores
+    # are freed before the values are projected: a batch then holds one
+    # [B, N, HW] array fewer at its peak.
     scores = affinity(T.matmul(queries, block.wq), T.matmul(feats, block.wk))
-    return T.masked_softmax_rows(scores, bias_of(scores))
+    bias = (T.zeros(scores.shape[:-2] + scores.shape[-1:]) if mask is None
+            else cycle_bias(scores, mask))
+    return T.masked_softmax_rows(scores, bias)
+
+
+def cycle_consistent_attention(block: AttentionBlock, queries: Tensor, feats: Tensor,
+                               mask: Tensor) -> Tensor:
+    """``cross_attention`` under the round-trip bias of ``mask``."""
+    return cross_attention(block, queries, feats, mask)
 
 
 def self_attention(block: AttentionBlock, queries: Tensor) -> Tensor:
     """Unbiased attention of a prompt set over itself: [N, d] -> [N, d], or
     per episode [B, N, d] -> [B, N, d]."""
-    return cross_attention(block, queries, queries, bias=None)
+    return cross_attention(block, queries, queries)

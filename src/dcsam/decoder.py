@@ -38,13 +38,14 @@ def decode(pos_labeled: Tensor, neg_labeled: Tensor | None, feats: Tensor,
            cfg: DecoderConfig = DecoderConfig()) -> Tensor:
     """Decode labeled prompts against a feature map [d, H, W] into [H, W]
     probabilities, or per episode: [B, N, d] prompts against [B, d, H, W]
-    maps into [B, H, W]."""
+    maps into [B, H, W]. Prompts [N, d] against [B, d, H, W] maps are shared
+    by every map of the stack, as a 2-D operand is in ``matmul``."""
     if feats.ndim not in (3, 4):
         raise ShapeMismatch(f"decoder features must be [d, H, W] or [B, d, H, W], got {feats.shape}")
     lead = feats.shape[:-3]
     d, h, w = feats.shape[-3:]
     for name, prompts in (("positive", pos_labeled), ("negative", neg_labeled)):
-        if prompts is not None and (prompts.ndim != len(lead) + 2 or prompts.shape[:-2] != lead
+        if prompts is not None and (prompts.ndim < 2 or prompts.shape[:-2] not in ((), lead)
                                     or prompts.shape[-1] != d):
             raise ShapeMismatch(f"{name} prompts {prompts.shape} do not match features {feats.shape}")
     flat = T.reshape(feats, lead + (d, h * w))

@@ -75,9 +75,6 @@ class StubEncoder:
             maps.append(Tensor(feat))
         return EncoderMaps(mid=maps[0], high=maps[1], sam=maps[2])
 
-    def feature_shape(self, h: int, w: int) -> tuple[int, int]:
-        return h // self.stride, w // self.stride
-
 
 def _pad_spatial(img: np.ndarray, radius: int) -> np.ndarray:
     """Edge-pad the last two axes only."""

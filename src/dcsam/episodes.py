@@ -10,6 +10,7 @@ most 10% of the target's area. Everything is deterministic per
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -83,6 +84,16 @@ def split_folds(classes: Sequence[int], fold: int, fold_count: int = 4) -> FoldS
                      train_classes=train, test_classes=test)
 
 
+@functools.cache
+def grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index grids of an h x w canvas ("ij" indexing),
+    built once per canvas and read-only."""
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr.setflags(write=False)
+    cc.setflags(write=False)
+    return rr, cc
+
+
 def _centered(rng: np.random.Generator, h: int, w: int, ry: int, rx: int) -> tuple[int, int]:
     """Center of a shape with half-extents (ry, rx), fully inside the canvas."""
     cy = int(rng.integers(ry, h - ry)) if h - ry > ry else ry
@@ -94,7 +105,7 @@ def _disk(rng, h, w):
     m = min(h, w)
     r = int(rng.integers(max(1, m // 8), max(2, int(m / 3.2)) + 1))
     cy, cx = _centered(rng, h, w, r, r)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     return (rr - cy) ** 2 + (cc - cx) ** 2 <= r * r
 
 
@@ -102,7 +113,7 @@ def _rectangle(rng, h, w):
     hy = int(rng.integers(1, max(2, h // 4) + 1))
     hx = int(rng.integers(1, max(2, w // 4) + 1))
     cy, cx = _centered(rng, h, w, hy, hx)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     return (np.abs(rr - cy) <= hy) & (np.abs(cc - cx) <= hx)
 
 
@@ -112,7 +123,7 @@ def _triangle(rng, h, w):
     r0 = int(rng.integers(0, h - s + 1))
     c0 = int(rng.integers(0, w - s + 1))
     k = int(rng.integers(0, 4))
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     a, b = rr - r0, cc - c0
     box = (a >= 0) & (b >= 0) & (a < s) & (b < s)
     aa = np.where(k < 2, a, s - 1 - a)
@@ -125,7 +136,7 @@ def _ring(rng, h, w):
     r_out = int(rng.integers(max(2, m // 5), max(3, int(m / 2.6)) + 1))
     r_in = max(1, int(r_out * 0.5))
     cy, cx = _centered(rng, h, w, r_out, r_out)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     d2 = (rr - cy) ** 2 + (cc - cx) ** 2
     return (d2 <= r_out * r_out) & (d2 > r_in * r_in)
 
@@ -135,7 +146,7 @@ def _cross(rng, h, w):
     a = int(rng.integers(max(2, m // 5), max(3, m // 2 - 1) + 1))
     t = int(rng.integers(0, max(1, m // 10) + 1))
     cy, cx = _centered(rng, h, w, a, a)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     dy, dx = np.abs(rr - cy), np.abs(cc - cx)
     return ((dy <= t) & (dx <= a)) | ((dx <= t) & (dy <= a))
 
@@ -147,12 +158,12 @@ def _bar(rng, h, w):
         length = int(rng.integers(w // 2, w - 1))
         half = length // 2
         cy, cx = _centered(rng, h, w, t, half)
-        rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        rr, cc = grid(h, w)
         return (np.abs(rr - cy) <= t) & (np.abs(cc - cx) <= half)
     length = int(rng.integers(h // 2, h - 1))
     half = length // 2
     cy, cx = _centered(rng, h, w, half, t)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     return (np.abs(rr - cy) <= half) & (np.abs(cc - cx) <= t)
 
 
@@ -164,7 +175,7 @@ def _lshape(rng, h, w):
     r0 = int(rng.integers(0, h - s1))
     c0 = int(rng.integers(0, w - s2))
     k = int(rng.integers(0, 4))
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     a, b = rr - r0, cc - c0
     if k >= 2:
         a = (s1 - 1) - a
@@ -179,7 +190,7 @@ def _checkerblob(rng, h, w):
     m = min(h, w)
     r = int(rng.integers(max(1, m // 5), max(2, int(m / 2.4)) + 1))
     cy, cx = _centered(rng, h, w, r, r)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     return np.abs(rr - cy) + np.abs(cc - cx) <= r
 
 
@@ -213,7 +224,7 @@ def _paint(img: np.ndarray, footprint: np.ndarray, class_id: int,
     if class_id % 2 == 1:
         fill[1::2, :] *= 0.62
     if class_id // 2 == 7:
-        rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        rr, cc = grid(h, w)
         fill = np.where((rr + cc) % 2 == 0, fill, fill * 0.8)
     img[footprint] = fill[footprint]
 

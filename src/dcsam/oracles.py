@@ -20,7 +20,7 @@ from .losses import total_loss
 from .pipeline import downsample_mask, generate_prompts, init_params, watch_params
 from .seeding import derive_seed, rng_for, tag
 from .tensor import GradTape, Tensor, grad, masked_softmax_rows
-from .trainer import grad_check, stack_episodes
+from .trainer import batch_forward, encode_episodes, grad_check
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def run_cyc_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
             k = np.round(k)
         a = (q @ k.T) / math.sqrt(d)
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).values.data
+        got = cycle_bias(Tensor(a), Tensor(mask)).data
         want = cycle_bias_reference(a, mask)
         if not np.array_equal(_bias_pattern(got), _bias_pattern(want)):
             failures += 1
@@ -158,22 +158,16 @@ def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4,
 
 def batch_run(episodes, params, pcfg, encoder) -> dict[str, np.ndarray]:
     """Prompts, pseudo masks, probabilities, batch-mean loss and parameter
-    gradients of one stacked batch."""
-    support_img, support_mask, query_img, query_mask = stack_episodes(episodes)
-    enc_s = encoder.encode(support_img, batched=True)
-    enc_q = encoder.encode(query_img, batched=True)
-    mask_f = downsample_mask(support_mask, encoder.stride)
+    gradients of one stacked batch, from the training forward."""
+    inputs = encode_episodes(episodes, encoder)
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)
-    prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, tracked, pcfg)
-    probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_q.sam, pcfg.decoder_config())
-    per_episode = total_loss(probs, downsample_mask(query_mask, encoder.stride), batched=True)
-    loss = T.scale(T.sum_all(per_episode), 1.0 / len(episodes))
+    prompts, pseudo, probs, loss = batch_forward(*inputs, tracked, pcfg)
     grads = grad(tape, loss)
-    out = {"pos": prompts.pos_labeled.data, "pseudo": pseudo.data, "probs": probs.data,
+    out = {"pos": prompts.pos.data, "pseudo": pseudo.data, "probs": probs.data,
            "loss": loss.data}
-    if prompts.neg_labeled is not None:
-        out["neg"] = prompts.neg_labeled.data
+    if prompts.neg is not None:
+        out["neg"] = prompts.neg.data
     out.update({f"grad {name}": grads[t].data for name, t in name_map.items()})
     return out
 
@@ -190,10 +184,10 @@ def batch_loop_reference(episodes, params, pcfg, encoder) -> dict[str, np.ndarra
         enc_s, enc_q = encoder.encode(ep.support_img), encoder.encode(ep.query_img)
         mask_f = downsample_mask(ep.support_mask, encoder.stride)
         prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, tracked, pcfg)
-        probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_q.sam, pcfg.decoder_config())
-        row = {"pos": prompts.pos_labeled, "pseudo": pseudo, "probs": probs}
-        if prompts.neg_labeled is not None:
-            row["neg"] = prompts.neg_labeled
+        probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.decoder_config())
+        row = {"pos": prompts.pos, "pseudo": pseudo, "probs": probs}
+        if prompts.neg is not None:
+            row["neg"] = prompts.neg
         for key, t in row.items():
             rows.setdefault(key, []).append(t.data)
         term = total_loss(probs, downsample_mask(ep.query_mask, encoder.stride))
@@ -255,8 +249,8 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
         if t % 2 == 0:
             a = np.round(a)
         mask = rng.integers(0, 2, size=(b, hw)).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).values.data
-        want = np.stack([cycle_bias(Tensor(a[i]), Tensor(mask[i])).values.data for i in range(b)])
+        got = cycle_bias(Tensor(a), Tensor(mask)).data
+        want = np.stack([cycle_bias(Tensor(a[i]), Tensor(mask[i])).data for i in range(b)])
         if not np.array_equal(got, want):
             problems.append("cycle-bias pattern differs from the per-episode one")
         if problems:

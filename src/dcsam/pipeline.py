@@ -7,19 +7,21 @@ branch parameters swaps the branch outputs exactly. Per branch:
   1. pool the support feature under the branch mask, fuse support and query
      features (pooled vector, SAM-like map, prior map on the query side),
   2. refine the branch's learned queries over the fused support features
-     with cyclic-consistent attention under the branch mask,
+     by cross-attention carrying the cycle bias of the branch mask (no
+     bias when ``use_cyc_bias`` is off),
   3. decode a pseudo query mask from the labeled mediate prompts (threshold
      0.5, detached),
-  4. refine again over the fused query features under the branch's pseudo
-     mask, then self-attend,
-  5. add the branch's label embedding.
+  4. refine again over the fused query features, biased by the branch's
+     pseudo mask, then self-attend,
+  5. add the branch's label embedding; a ``PromptSet`` holds the result.
 
 Feature maps come from the stub encoders and are constants; gradients reach
 the parameters through fusion, the attention projections, the learned
 queries, and the label embeddings.
 
 A batch of episodes runs the same code on stacked inputs: every map, mask
-and result gains a leading batch axis, and the parameters are shared.
+and result gains a leading batch axis, and the parameters are shared. The
+trainer's ``batch_forward`` adds the decode and the loss to this forward.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionBlock, cross_attention, cycle_consistent_attention, self_attention
+from .attention import AttentionBlock, cross_attention, self_attention
 from .decoder import DecoderConfig, decode
 from .encoder import EncoderMaps, StubEncoder
 from .errors import EmptySupportMask, ShapeMismatch
@@ -137,12 +139,11 @@ def watch_params(tape: GradTape, params: ModelParams) -> tuple[ModelParams, dict
 
 @dataclass(frozen=True)
 class PromptSet:
-    """Refined prompts per branch, before and after label embedding."""
+    """Refined, labeled prompts per branch; ``neg`` is None without the
+    negative branch."""
 
     pos: Tensor
     neg: Tensor | None
-    pos_labeled: Tensor
-    neg_labeled: Tensor | None
 
 
 def mask_average(feat: Tensor, mask: Tensor) -> Tensor:
@@ -217,8 +218,7 @@ def fuse(feat: Tensor, pooled: Tensor, f_sam: Tensor, prior: Tensor | None,
         if prior.shape != lead + (h, w):
             raise ShapeMismatch(f"fuse: prior {prior.shape} does not match {h}x{w}")
         prior_chan = T.reshape(prior, lead + (1, h, w))
-    stacked = T.concat_channels([feat, T.tile_spatial(pooled, h, w), f_sam, prior_chan],
-                                batched=bool(lead))
+    stacked = T.concat_channels([feat, T.tile_spatial(pooled, h, w), f_sam, prior_chan])
     return T.conv1x1(stacked, params.fusion_w, params.fusion_b)
 
 
@@ -273,12 +273,8 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
             raise EmptySupportMask(f"{name} branch has no support pixels")
 
     hw = h * w
-    zeros_sam_s = zeros_sam_q = None
-    if not cfg.use_sam_fusion:
-        zeros_sam_s = T.zeros(support.sam.shape)
-        zeros_sam_q = T.zeros(query.sam.shape)
-    sam_s = support.sam if cfg.use_sam_fusion else zeros_sam_s
-    sam_q = query.sam if cfg.use_sam_fusion else zeros_sam_q
+    sam_s = support.sam if cfg.use_sam_fusion else T.zeros(support.sam.shape)
+    sam_q = query.sam if cfg.use_sam_fusion else T.zeros(query.sam.shape)
 
     def support_pass(branch: str) -> tuple[Tensor, Tensor]:
         bm = branch_masks[branch]
@@ -289,11 +285,8 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
         # after the attention: off the tape, a batch holds fewer arrays at once.
         tokens_s = _as_tokens(fuse(support.mid, pooled, sam_s, None, params), hw)
         q_init = params.q_pos if branch == "pos" else params.q_neg
-        block = params.attn_support
-        if cfg.use_cyc_bias:
-            mediate = cycle_consistent_attention(block, q_init, tokens_s, _flat_mask(bm))
-        else:
-            mediate = cross_attention(block, q_init, tokens_s)
+        mediate = cross_attention(params.attn_support, q_init, tokens_s,
+                                  _flat_mask(bm) if cfg.use_cyc_bias else None)
         return mediate, _as_tokens(fuse(query.mid, pooled, sam_q, prior, params), hw)
 
     med_pos, tokens_q_pos = support_pass("pos")
@@ -308,19 +301,13 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
 
     def query_pass(branch: str, mediate: Tensor, tokens_q: Tensor) -> Tensor:
         qm = pseudo.data if branch == "pos" else 1.0 - pseudo.data
-        block = params.attn_query
-        if cfg.use_cyc_bias:
-            refined = cycle_consistent_attention(block, mediate, tokens_q, _flat_mask(qm))
-        else:
-            refined = cross_attention(block, mediate, tokens_q)
+        refined = cross_attention(params.attn_query, mediate, tokens_q,
+                                  _flat_mask(qm) if cfg.use_cyc_bias else None)
         return self_attention(params.attn_self, refined)
 
     out_pos = query_pass("pos", med_pos, tokens_q_pos)
     out_neg = query_pass("neg", med_neg, tokens_q_neg) if cfg.use_neg_branch else None
-    pos_labeled, neg_labeled = label_prompts(out_pos, out_neg, params)
-    prompts = PromptSet(pos=out_pos, neg=out_neg,
-                        pos_labeled=pos_labeled, neg_labeled=neg_labeled)
-    return prompts, pseudo
+    return PromptSet(*label_prompts(out_pos, out_neg, params)), pseudo
 
 
 def downsample_mask(mask: Tensor, stride: int) -> Tensor:
@@ -352,5 +339,5 @@ def infer_mask(support_img: Tensor, support_mask: Tensor, query_img: Tensor,
     enc_q = encoder.encode(query_img, batched)
     mask_feat = downsample_mask(support_mask, encoder.stride)
     prompts, _ = generate_prompts(enc_s, enc_q, mask_feat, params, cfg)
-    probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_q.sam, cfg.decoder_config())
+    probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.decoder_config())
     return upsample_map(probs, encoder.stride)

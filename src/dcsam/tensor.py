@@ -8,11 +8,12 @@ docstring says it is detached.
 Conventions:
   * all data is float64 and row-major in memory,
   * ops with a fixed operand rank also take a stack of episodes with one
-    extra leading batch axis (``matmul``, ``transpose``, ``tile_spatial``,
-    ``add_rowvec``, ``logsumexp0``, ``masked_softmax_rows``, ``conv1x1``);
-    rank-generic ops take ``batched=True`` (``concat_channels``,
-    ``sum_all``). An unbatched operand of a batched op, typically a
-    parameter, is shared by every episode and its gradient sums over them,
+    extra leading batch axis (``matmul``, ``transpose``, ``concat_channels``,
+    ``tile_spatial``, ``add_rowvec``, ``logsumexp0``, ``masked_softmax_rows``,
+    ``conv1x1``); ``sum_all`` takes ``batched=True``. An unbatched operand of
+    a batched op, typically a parameter, is shared by every episode and its
+    gradient sums over them,
+  * ops are plain functions: a ``Tensor`` has no arithmetic operators,
   * -inf is a reserved sentinel accepted only by the bias argument of
     ``masked_softmax_rows``; every other operand must be finite,
   * argmax-style choices (none live here, see ``attention``) break ties
@@ -73,48 +74,9 @@ class Tensor:
             raise ShapeMismatch(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def numpy(self) -> np.ndarray:
-        """Read-only view of the underlying array."""
-        return self.data
-
-    def tolist(self):
-        return self.data.tolist()
-
     def __repr__(self) -> str:
         tracked = "" if self.tape is None else f" nid={self.nid}"
         return f"Tensor(shape={self.shape}{tracked})\n{self.data!r}"
-
-    # Convenience arithmetic. Scalar operands mean constant scaling/shifts;
-    # tensor operands must match shapes exactly (no broadcasting).
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(neg(self), float(other))
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _validate_values(arr: np.ndarray, neg_inf_ok: bool) -> None:
@@ -202,9 +164,6 @@ class GradTape:
         self._next_id += 1
         return out
 
-    def _record(self, out_nid: int, in_nids: tuple[int | None, ...], vjp) -> None:
-        self._records.append((out_nid, in_nids, vjp))
-
 
 def grad(tape: GradTape, loss: Tensor) -> dict[Tensor, Tensor]:
     """Reverse-accumulate d(loss)/d(param) for every watched parameter.
@@ -255,7 +214,7 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, neg_inf_ok: bool =
     if tape is None:
         return _wrap(data, neg_inf_ok=neg_inf_ok, validate=validate)
     out = tape._adopt(np.asarray(data, dtype=np.float64, order="C"), validate)
-    tape._record(out.nid, tuple(t.nid for t in inputs), vjp)
+    tape._records.append((out.nid, tuple(t.nid for t in inputs), vjp))
     return out
 
 
@@ -324,8 +283,8 @@ def _reshape_vjp(g, shape):
     return (np.ascontiguousarray(g).reshape(shape),)
 
 
-def _concat_vjp(g, cuts, axis):
-    return tuple(np.split(g, cuts, axis=axis))
+def _concat_vjp(g, cuts):
+    return tuple(np.split(g, cuts, axis=-3))
 
 
 def _tile_spatial_vjp(g):
@@ -472,25 +431,22 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
                  validate=False)
 
 
-def concat_channels(parts: Sequence[Tensor], batched: bool = False) -> Tensor:
-    """Concatenate along axis 0 (axis 1 when ``batched``); every other
-    dimension must match."""
+def concat_channels(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate along the channel axis, the third from last ([C, H, W],
+    or [B, C, H, W] per episode); every other dimension must match."""
     if not parts:
         raise ShapeMismatch("concat_channels needs at least one tensor")
     parts = [as_tensor(p) for p in parts]
     _reject_bias("concat_channels", *parts)
-    axis = int(batched)
     first = parts[0].shape
-    if len(first) <= axis:
+    if len(first) < 3:
         raise ShapeMismatch(f"concat_channels: {first} has no channel axis")
     for p in parts[1:]:
-        if (p.ndim != len(first) or p.shape[:axis] != first[:axis]
-                or p.shape[axis + 1:] != first[axis + 1:]):
+        if p.ndim != len(first) or p.shape[:-3] + p.shape[-2:] != first[:-3] + first[-2:]:
             raise ShapeMismatch(f"concat_channels: other dims differ ({first} vs {p.shape})")
-    sizes = [p.shape[axis] for p in parts]
-    cuts = np.cumsum(sizes)[:-1]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    return _emit(out, parts, lambda g: _concat_vjp(g, cuts, axis), validate=False)
+    cuts = np.cumsum([p.shape[-3] for p in parts])[:-1]
+    out = np.concatenate([p.data for p in parts], axis=-3)
+    return _emit(out, parts, lambda g: _concat_vjp(g, cuts), validate=False)
 
 
 def tile_spatial(v: Tensor, h: int, w: int) -> Tensor:

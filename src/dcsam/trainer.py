@@ -10,18 +10,18 @@ import numpy as np
 from . import dcst
 from . import tensor as T
 from .config import TrainConfig, config_text, parse_config_text
-from .encoder import StubEncoder
+from .encoder import EncoderMaps, StubEncoder
 from .episodes import Episode, FoldSplit, gen_episode
 from .errors import CheckpointMissing, DivergenceDetected, EmptyReport, IoError
 from .losses import total_loss
 from .metrics import MetricReport, boundary_f, iou
-from .pipeline import (ModelParams, PipelineConfig, downsample_mask, generate_prompts,
-                       infer_mask, init_params, watch_params)
+from .pipeline import (ModelParams, PipelineConfig, PromptSet, downsample_mask,
+                       generate_prompts, infer_mask, init_params, watch_params)
 from .decoder import decode
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, grad
 from .util import atomic_write_text
-from .video import make_tube
+from .video import MaskTube, make_tube
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -77,20 +77,50 @@ class AdamW:
         return out
 
 
-def _episode_loss(enc_s, enc_q, mask_feat: Tensor, gt_feat: Tensor,
-                  params: ModelParams, pcfg: PipelineConfig) -> Tensor:
-    """Combined loss of one episode, or one loss per episode [B] of a batch
-    (masks stacked [B, H, W])."""
-    prompts, _ = generate_prompts(enc_s, enc_q, mask_feat, params, pcfg)
-    probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_q.sam, pcfg.decoder_config())
-    return total_loss(probs, gt_feat, batched=gt_feat.ndim == 3)
-
-
 def stack_episodes(episodes: list[Episode]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Support images, support masks, query images and query masks of
     same-sized episodes, each stacked along a leading batch axis."""
     return tuple(Tensor(np.stack([getattr(ep, name).data for ep in episodes]))
                  for name in ("support_img", "support_mask", "query_img", "query_mask"))
+
+
+def encode_episodes(episodes: list[Episode], encoder: StubEncoder
+                    ) -> tuple[EncoderMaps, EncoderMaps, Tensor, Tensor]:
+    """Stacked support and query maps of the episodes, and their support and
+    query masks at the feature resolution."""
+    support_img, support_mask, query_img, query_mask = stack_episodes(episodes)
+    return (encoder.encode(support_img, batched=True), encoder.encode(query_img, batched=True),
+            downsample_mask(support_mask, encoder.stride),
+            downsample_mask(query_mask, encoder.stride))
+
+
+def _mean_loss(probs: Tensor, target: Tensor) -> Tensor:
+    # NumPy's pairwise sum over the batch axis: a fixed order for any batch
+    per_episode = total_loss(probs, target, batched=True)
+    return T.scale(T.sum_all(per_episode), 1.0 / target.shape[0])
+
+
+def batch_forward(enc_s: EncoderMaps, enc_q: EncoderMaps, mask_f: Tensor, gt_f: Tensor,
+                  params: ModelParams, pcfg: PipelineConfig
+                  ) -> tuple[PromptSet, Tensor, Tensor, Tensor]:
+    """The training forward of a stacked batch: prompts, pseudo masks,
+    probabilities [B, h, w] and the batch mean of the combined loss."""
+    prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, params, pcfg)
+    probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.decoder_config())
+    return prompts, pseudo, probs, _mean_loss(probs, gt_f)
+
+
+def tube_loss(support_img: Tensor, support_mask: Tensor, tube: MaskTube,
+              params: ModelParams, pcfg: PipelineConfig, encoder: StubEncoder) -> Tensor:
+    """Mean over the tube's frames of the combined loss of decoding each
+    frame with the prompts generated on frame 0. The frames run as one
+    stack, and the prompts are shared by all of them."""
+    prompts, _ = generate_prompts(encoder.encode(support_img), encoder.encode(tube.frames[0]),
+                                  downsample_mask(support_mask, encoder.stride), params, pcfg)
+    frames = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
+    masks = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), encoder.stride)
+    probs = decode(prompts.pos, prompts.neg, frames.sam, pcfg.decoder_config())
+    return _mean_loss(probs, masks)
 
 
 @dataclass(frozen=True)
@@ -101,9 +131,9 @@ class TrainResult:
 
 
 def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
-    """Train on the fold's training classes; loss is the batch mean of the
-    per-episode combined loss, reduced in a fixed order. A step's episodes
-    run as one stacked batch on one tape."""
+    """Train on the fold's training classes: ``steps`` steps on ``batch``
+    stacked episodes, then ``tube_steps`` steps on the stacked frames of a
+    mask tube, under one optimizer schedule and one step routine."""
     pcfg = cfg.pipeline_config()
     encoder = pcfg.encoder(cfg.seed)
     params = init_params(pcfg, cfg.seed)
@@ -113,61 +143,33 @@ def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
     losses: list[float] = []
     counter = 0
 
-    def check(value: float) -> float:
+    def draw_episode() -> Episode:
+        nonlocal counter
+        cls = int(fold.train_classes[int(sampler.integers(0, len(fold.train_classes)))])
+        ep = gen_episode(cls, episode_seed(cfg.seed, cls, counter), canvas)
+        counter += 1
+        return ep
+
+    def image_step(tracked: ModelParams) -> Tensor:
+        episodes = [draw_episode() for _ in range(cfg.batch)]
+        return batch_forward(*encode_episodes(episodes, encoder), tracked, pcfg)[3]
+
+    def tube_step(tracked: ModelParams) -> Tensor:
+        ep = draw_episode()
+        tube = make_tube(ep, cfg.tube_frames, derive_seed(cfg.seed, tag("tube"), counter))
+        return tube_loss(ep.support_img, ep.support_mask, tube, tracked, pcfg, encoder)
+
+    for step_loss in [image_step] * cfg.steps + [tube_step] * cfg.tube_steps:
+        tape = GradTape()
+        tracked, name_map = watch_params(tape, params)
+        try:
+            loss = step_loss(tracked)
+        except FloatingPointError as err:
+            raise DivergenceDetected(str(err)) from err
+        value = loss.item()
         if not math.isfinite(value):
             raise DivergenceDetected(f"loss became {value} at step {len(losses)}")
-        return value
-
-    for _step in range(cfg.steps):
-        tape = GradTape()
-        tracked, name_map = watch_params(tape, params)
-        try:
-            episodes = []
-            for _b in range(cfg.batch):
-                cls = int(fold.train_classes[int(sampler.integers(0, len(fold.train_classes)))])
-                episodes.append(gen_episode(cls, episode_seed(cfg.seed, cls, counter), canvas))
-                counter += 1
-            support_img, support_mask, query_img, query_mask = stack_episodes(episodes)
-            enc_s = encoder.encode(support_img, batched=True)
-            enc_q = encoder.encode(query_img, batched=True)
-            mask_f = downsample_mask(support_mask, encoder.stride)
-            gt_f = downsample_mask(query_mask, encoder.stride)
-            per_episode = _episode_loss(enc_s, enc_q, mask_f, gt_f, tracked, pcfg)
-            loss = T.scale(T.sum_all(per_episode), 1.0 / cfg.batch)
-        except FloatingPointError as err:
-            raise DivergenceDetected(str(err)) from err
-        losses.append(check(loss.item()))
-        grads = grad(tape, loss)
-        named_grads = {name: grads[t] for name, t in name_map.items()}
-        params = ModelParams.from_named(opt.step(params.named(), named_grads))
-
-    # Optional video analog: supervise every frame of a synthetic tube with
-    # the frame-0 prompts, same parameters, same optimizer schedule.
-    for _step in range(cfg.tube_steps):
-        tape = GradTape()
-        tracked, name_map = watch_params(tape, params)
-        try:
-            cls = int(fold.train_classes[int(sampler.integers(0, len(fold.train_classes)))])
-            ep = gen_episode(cls, episode_seed(cfg.seed, cls, counter), canvas)
-            counter += 1
-            tube = make_tube(ep, cfg.tube_frames, derive_seed(cfg.seed, tag("tube"), counter))
-            enc_s = encoder.encode(ep.support_img)
-            enc_first = encoder.encode(tube.frames[0])
-            mask_f = downsample_mask(ep.support_mask, encoder.stride)
-            prompts, _ = generate_prompts(enc_s, enc_first, mask_f, tracked, pcfg)
-            frame_terms = []
-            for frame, mask in zip(tube.frames, tube.masks):
-                enc_t = encoder.encode(frame)
-                probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_t.sam,
-                               pcfg.decoder_config())
-                frame_terms.append(total_loss(probs, downsample_mask(mask, encoder.stride)))
-            acc = frame_terms[0]
-            for term in frame_terms[1:]:
-                acc = T.add(acc, term)
-            loss = T.scale(acc, 1.0 / len(frame_terms))
-        except FloatingPointError as err:
-            raise DivergenceDetected(str(err)) from err
-        losses.append(check(loss.item()))
+        losses.append(value)
         grads = grad(tape, loss)
         named_grads = {name: grads[t] for name, t in name_map.items()}
         params = ModelParams.from_named(opt.step(params.named(), named_grads))
@@ -234,23 +236,17 @@ def grad_check(params: ModelParams, ep: Episode, pcfg: PipelineConfig, encoder: 
     +-h; the reported number is the worst relative error
     |analytic - fd| / max(|analytic|, |fd|, FD_DENOM_FLOOR).
     """
-    enc_s = encoder.encode(ep.support_img)
-    enc_q = encoder.encode(ep.query_img)
-    mask_f = downsample_mask(ep.support_mask, encoder.stride)
-    gt_f = downsample_mask(ep.query_mask, encoder.stride)
+    inputs = encode_episodes([ep], encoder)     # a batch of one
+
+    def loss_at(p: ModelParams) -> Tensor:
+        return batch_forward(*inputs, p, pcfg)[3]
 
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)
-    loss = _episode_loss(enc_s, enc_q, mask_f, gt_f, tracked, pcfg)
-    grads = grad(tape, loss)
+    grads = grad(tape, loss_at(tracked))
     analytic = {name: grads[t].data for name, t in name_map.items()}
 
     base = params.named()
-
-    def loss_at(named: dict[str, Tensor]) -> float:
-        return _episode_loss(enc_s, enc_q, mask_f, gt_f,
-                             ModelParams.from_named(named), pcfg).item()
-
     rng = rng_for(seed, tag("gradcheck"))
     per_param: dict[str, float] = {}
     for name, tensor in base.items():
@@ -264,7 +260,7 @@ def grad_check(params: ModelParams, ep: Episode, pcfg: PipelineConfig, encoder: 
                 flat[flat_idx] += delta
                 named = dict(base)
                 named[name] = Tensor(flat.reshape(tensor.shape))
-                return loss_at(named)
+                return loss_at(ModelParams.from_named(named)).item()
 
             fd = (bumped_loss(+h) - bumped_loss(-h)) / (2.0 * h)
             ana = float(analytic[name].reshape(-1)[flat_idx])

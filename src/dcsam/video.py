@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import StubEncoder
-from .episodes import Episode
+from .episodes import Episode, grid
 from . import dcst
 from .errors import FrameCountMismatch, IoError, ShapeMismatch
 from .pipeline import ModelParams, PipelineConfig, downsample_mask, generate_prompts, upsample_map
@@ -91,7 +91,7 @@ def warp(array: np.ndarray, spec: TransformSpec, fill: float = 0.0) -> np.ndarra
     """Nearest-neighbor warp of a 2-D array by (scale, flip, translate)."""
     h, w = array.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rr, cc = grid(h, w)
     v = rr - spec.dy
     u = cc - spec.dx
     if spec.flip:
@@ -160,7 +160,7 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
     predicted = []
     for frame in tube.frames:
         enc_t = encoder.encode(frame)
-        probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_t.sam, dec_cfg)
+        probs = decode(prompts.pos, prompts.neg, enc_t.sam, dec_cfg)
         predicted.append(binarize(upsample_map(probs, encoder.stride)))
     return MaskTube(frames=tube.frames, masks=tuple(predicted), transforms=tube.transforms,
                     class_id=tube.class_id, seed=tube.seed)

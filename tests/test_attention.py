@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dcsam.attention import (AttentionBlock, CycleBias, affinity, cross_attention,
-                             cycle_bias, cycle_consistent_attention, self_attention)
+from dcsam.attention import (AttentionBlock, affinity, cross_attention, cycle_bias,
+                             cycle_consistent_attention, self_attention)
 from dcsam.errors import AllMasked, ShapeMismatch
 from dcsam.oracles import cycle_bias_reference
 from dcsam.tensor import GradTape, Tensor, grad
@@ -58,7 +58,7 @@ def test_cycle_bias_hand_case():
     a = np.array([[1.0, 2.0],
                   [0.0, 0.0]])
     mask = np.array([1.0, 0.0])
-    got = cycle_bias(Tensor(a), Tensor(mask)).values.data
+    got = cycle_bias(Tensor(a), Tensor(mask)).data
     assert np.isneginf(got[0])
     assert got[1] == 0.0
 
@@ -66,7 +66,7 @@ def test_cycle_bias_hand_case():
 def test_cycle_bias_all_same_label_is_zero(rng):
     a = rng.normal(size=(3, 6))
     for value in (0.0, 1.0):
-        got = cycle_bias(Tensor(a), Tensor(np.full(6, value))).values.data
+        got = cycle_bias(Tensor(a), Tensor(np.full(6, value))).data
         np.testing.assert_array_equal(got, np.zeros(6))
 
 
@@ -76,7 +76,7 @@ def test_cycle_bias_matches_bruteforce_random(rng):
         hw = int(rng.integers(1, 10))
         a = rng.normal(size=(n, hw))
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).values.data
+        got = cycle_bias(Tensor(a), Tensor(mask)).data
         want = cycle_bias_reference(a, mask)
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
         assert (got[~np.isneginf(got)] == 0.0).all()
@@ -88,7 +88,7 @@ def test_cycle_bias_ties_break_to_smallest_index(rng):
         hw = int(rng.integers(1, 8))
         a = rng.integers(-1, 2, size=(n, hw)).astype(float)  # heavy ties
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).values.data
+        got = cycle_bias(Tensor(a), Tensor(mask)).data
         want = cycle_bias_reference(a, mask)
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
 
@@ -97,7 +97,7 @@ def test_cycle_bias_constant_affinity():
     # every argmax ties at index 0, so j* = 0 for all columns
     a = np.zeros((2, 4))
     mask = np.array([1.0, 0.0, 1.0, 0.0])
-    got = cycle_bias(Tensor(a), Tensor(mask)).values.data
+    got = cycle_bias(Tensor(a), Tensor(mask)).data
     assert got[0] == 0.0 and got[2] == 0.0
     assert np.isneginf(got[1]) and np.isneginf(got[3])
 
@@ -105,8 +105,8 @@ def test_cycle_bias_constant_affinity():
 def test_cycle_bias_scale_invariant_pattern(rng):
     a = rng.normal(size=(3, 7))
     mask = rng.integers(0, 2, size=7).astype(float)
-    base = cycle_bias(Tensor(a), Tensor(mask)).values.data
-    scaled = cycle_bias(Tensor(a * 3.7), Tensor(mask)).values.data
+    base = cycle_bias(Tensor(a), Tensor(mask)).data
+    scaled = cycle_bias(Tensor(a * 3.7), Tensor(mask)).data
     np.testing.assert_array_equal(np.isneginf(base), np.isneginf(scaled))
 
 
@@ -125,7 +125,7 @@ def test_cycle_bias_is_detached(rng):
     q = tape.watch(Tensor(rng.normal(size=(2, 3))))
     k = Tensor(rng.normal(size=(5, 3)))
     bias = cycle_bias(affinity(q, k), Tensor(np.ones(5)))
-    assert bias.values.tape is None
+    assert bias.tape is None
 
 
 def test_cross_attention_matches_loop_reference(rng):
@@ -164,7 +164,7 @@ def test_cycle_bias_keeps_at_least_one_column(rng):
         if rng.random() < 0.5:
             a = np.round(a)  # exercise tie handling too
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).values.data
+        got = cycle_bias(Tensor(a), Tensor(mask)).data
         assert np.isfinite(got).any()
 
 
@@ -195,8 +195,6 @@ def test_attention_block_validation(rng):
         AttentionBlock(wq=Tensor(rng.normal(size=(3, 4))),
                        wk=Tensor(rng.normal(size=(3, 3))),
                        wv=Tensor(rng.normal(size=(3, 3))))
-    with pytest.raises(ShapeMismatch):
-        CycleBias(values=Tensor(np.zeros((2, 2)), neg_inf_ok=True))
 
 
 def test_cycle_attention_gradients(rng):

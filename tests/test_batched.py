@@ -33,7 +33,7 @@ def recorded_biases(monkeypatch, run):
 
     def spy(a, mask):
         out = original(a, mask)
-        seen.append(out.values.data)
+        seen.append(out.data)
         return out
 
     monkeypatch.setattr(attention, "cycle_bias", spy)
@@ -175,11 +175,9 @@ def test_batched_shape_errors(rng):
     with pytest.raises(ShapeMismatch):
         T.masked_softmax_rows(Tensor(rng.normal(size=(2, 3, 4))), Tensor(np.zeros((3, 4))))
     with pytest.raises(ShapeMismatch):
-        T.concat_channels([Tensor(np.ones((2, 1, 3))), Tensor(np.ones((3, 1, 3)))], batched=True)
+        T.concat_channels([Tensor(np.ones((2, 1, 3, 3))), Tensor(np.ones((3, 1, 3, 3)))])
     with pytest.raises(ShapeMismatch):
         attention.cycle_bias(Tensor(rng.normal(size=(2, 3, 4))), Tensor(np.ones(4)))
-    with pytest.raises(ShapeMismatch):
-        attention.CycleBias(values=Tensor(np.zeros(4), neg_inf_ok=True), batched=True)
 
 
 # -- finite differences of every batched op -------------------------------------
@@ -219,8 +217,8 @@ def test_fd_batched_structural_ops(rng):
                                        T.tile_spatial(p[0], 2, 2))), [v.copy()])
     fd_check(lambda p: T.sum_all(T.sigmoid(T.add_rowvec(p[0], p[1]))),
              [a.copy(), rng.normal(size=4)])
-    fd_check(lambda p: T.sum_all(T.exp(T.concat_channels([p[0], p[1]], batched=True))),
-             [rng.normal(size=(2, 1, 3)) * 0.3, rng.normal(size=(2, 2, 3)) * 0.3])
+    fd_check(lambda p: T.sum_all(T.exp(T.concat_channels([p[0], p[1]]))),
+             [rng.normal(size=(2, 1, 3, 1)) * 0.3, rng.normal(size=(2, 2, 3, 1)) * 0.3])
 
 
 def test_fd_batched_reductions(rng):

@@ -111,3 +111,18 @@ def test_gradients_flow_to_prompts(rng):
             fd = (at(h) - at(-h)) / (2 * h)
             a = g.reshape(-1)[c]
             assert abs(a - fd) <= 1e-4 * max(abs(a), abs(fd), 1e-3), (use_neg, c)
+
+
+@pytest.mark.parametrize("with_neg", [True, False], ids=["dual", "positive-only"])
+def test_shared_prompts_decode_every_map_of_a_stack_exactly(rng, with_neg):
+    # 2-D prompts against [B, d, H, W] maps, as a tube step decodes its frames
+    pos = Tensor(rng.normal(size=(5, 4)))
+    neg = Tensor(rng.normal(size=(3, 4))) if with_neg else None
+    maps = rng.normal(size=(6, 4, 3, 5))
+    cfg = DecoderConfig(tau=0.7)
+    stacked = decode(pos, neg, Tensor(maps), cfg)
+    assert stacked.shape == (6, 3, 5)
+    for m, probs in zip(maps, stacked.data):
+        assert np.array_equal(decode(pos, neg, Tensor(m), cfg).data, probs)
+    with pytest.raises(ShapeMismatch):
+        decode(Tensor(rng.normal(size=(2, 5, 4))), neg, Tensor(maps), cfg)

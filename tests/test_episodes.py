@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,17 @@ from dcsam.episodes import (
     MIN_AREA_FRAC,
     class_registry,
     gen_episode,
+    grid,
     load_episode,
     save_episode,
     split_folds,
 )
+from dcsam.video import make_tube
+
+# SHA-256 of every byte hashed by test_input_bytes_are_pinned, recorded
+# before the coordinate grids were cached. Episodes use only Philox draws
+# and IEEE elementwise arithmetic (no BLAS), so the digest holds on any host.
+INPUT_BYTES_SHA256 = "425e77d6b4b14ca9d82f66a4e275e1c6d9ba2dd062786c8389399b8a83de9b07"
 
 
 def test_registry_lists_all_classes():
@@ -138,3 +147,28 @@ def test_load_episode_meta_tolerates_comments(tmp_path):
     meta = tmp_path / "ep" / "meta.txt"
     meta.write_text("# regenerated\n\nclass_id = 2\nseed = 5\n")
     assert load_episode(tmp_path / "ep").class_id == 2
+
+
+def test_input_bytes_are_pinned():
+    # classes 0-15 x seeds 0-2 x canvases 8, 16, 32, plus one 8-frame tube
+    # per canvas: frames, then masks
+    digest = hashlib.sha256()
+    for canvas in (8, 16, 32):
+        for cls in range(CLASS_COUNT):
+            for seed in range(3):
+                ep = gen_episode(cls, seed, (canvas, canvas))
+                for t in (ep.support_img, ep.support_mask, ep.query_img, ep.query_mask):
+                    digest.update(t.data.tobytes())
+        tube = make_tube(gen_episode(canvas % CLASS_COUNT, canvas, (canvas, canvas)), 8, canvas)
+        for t in tube.frames + tube.masks:
+            digest.update(t.data.tobytes())
+    assert digest.hexdigest() == INPUT_BYTES_SHA256
+
+
+def test_grid_is_cached_and_read_only():
+    rr, cc = grid(5, 7)
+    assert grid(5, 7)[0] is rr
+    want_rr, want_cc = np.meshgrid(np.arange(5), np.arange(7), indexing="ij")
+    assert np.array_equal(rr, want_rr) and np.array_equal(cc, want_cc)
+    with pytest.raises(ValueError):
+        rr[0, 0] = 1

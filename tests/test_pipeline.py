@@ -157,7 +157,6 @@ def test_generate_prompts_shapes_and_pseudo():
     n, d = CFG.n_queries, CFG.embed_dim
     assert prompts.pos.shape == (n, d)
     assert prompts.neg.shape == (n, d)
-    assert prompts.pos_labeled.shape == (n, d)
     assert pseudo.shape == (16, 16)
     assert np.isin(pseudo.data, (0.0, 1.0)).all()
     assert pseudo.tape is None  # thresholding detaches
@@ -179,8 +178,6 @@ def test_branch_swap_symmetry():
     assert np.array_equal(pseudo_b.data, 1.0 - pseudo_a.data)
     assert np.array_equal(crossed.pos.data, straight.neg.data)
     assert np.array_equal(crossed.neg.data, straight.pos.data)
-    assert np.array_equal(crossed.pos_labeled.data, straight.neg_labeled.data)
-    assert np.array_equal(crossed.neg_labeled.data, straight.pos_labeled.data)
 
 
 def test_empty_branch_masks_raise():
@@ -195,7 +192,6 @@ def test_empty_branch_masks_raise():
     solo = dataclasses.replace(CFG, use_neg_branch=False)
     prompts, _ = generate_prompts(enc_s, enc_q, Tensor(np.ones((16, 16))), params, solo)
     assert prompts.neg is None
-    assert prompts.neg_labeled is None
 
 
 def test_generate_prompts_validation(rng):
@@ -220,7 +216,7 @@ def test_ablation_switches_change_outputs():
     for field in ("use_sam_fusion", "use_cyc_bias", "use_prior_mask"):
         ablated_cfg = dataclasses.replace(CFG, **{field: False})
         ablated, _ = generate_prompts(enc_s, enc_q, ep.support_mask, params, ablated_cfg)
-        assert not np.array_equal(ablated.pos_labeled.data, base.pos_labeled.data), field
+        assert not np.array_equal(ablated.pos.data, base.pos.data), field
 
 
 def test_every_parameter_receives_gradient():
@@ -230,7 +226,7 @@ def test_every_parameter_receives_gradient():
     tape = GradTape()
     tracked_params, tracked = watch_params(tape, params)
     prompts, _ = generate_prompts(enc_s, enc_q, ep.support_mask, tracked_params, CFG)
-    probs = decode(prompts.pos_labeled, prompts.neg_labeled, enc_q.sam, CFG.decoder_config())
+    probs = decode(prompts.pos, prompts.neg, enc_q.sam, CFG.decoder_config())
     loss = total_loss(probs, ep.query_mask)
     grads = grad(tape, loss)
     for name, t in tracked.items():

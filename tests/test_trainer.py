@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from dcsam.config import TrainConfig
+from dcsam.decoder import decode
 from dcsam.episodes import class_registry, gen_episode, split_folds
 from dcsam.errors import CheckpointMissing, DivergenceDetected, EmptyReport, IoError
-from dcsam.pipeline import init_params
-from dcsam.tensor import Tensor
+from dcsam.losses import total_loss
+from dcsam.pipeline import (ModelParams, downsample_mask, generate_prompts, init_params,
+                            watch_params)
+from dcsam.tensor import GradTape, Tensor, grad
 from dcsam.trainer import (
     AdamW,
     cosine_lr,
@@ -18,7 +21,9 @@ from dcsam.trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
+    tube_loss,
 )
+from dcsam.video import make_tube
 
 FOLD = split_folds(class_registry(), 0)
 TINY = TrainConfig(lr=1e-2, steps=4, batch=2, seed=11, canvas=8,
@@ -90,6 +95,51 @@ def test_train_with_tube_steps_extends_schedule():
     cfg = dataclasses.replace(TINY, tube_steps=2, tube_frames=3)
     result = train(cfg, FOLD)
     assert len(result.losses) == cfg.steps + cfg.tube_steps
+
+
+def tube_case(stride=1, frames=5):
+    cfg = dataclasses.replace(TINY, stride=stride)
+    pcfg = cfg.pipeline_config()
+    ep = gen_episode(6, 21, (8, 8))
+    return (ep, make_tube(ep, frames, seed=4), init_params(pcfg, seed=2), pcfg,
+            pcfg.encoder(cfg.seed))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_tube_loss_is_the_mean_of_frame_losses(stride):
+    ep, tube, params, pcfg, encoder = tube_case(stride)
+    got = tube_loss(ep.support_img, ep.support_mask, tube, params, pcfg, encoder).item()
+    prompts, _ = generate_prompts(encoder.encode(ep.support_img), encoder.encode(tube.frames[0]),
+                                  downsample_mask(ep.support_mask, stride), params, pcfg)
+    terms = [total_loss(decode(prompts.pos, prompts.neg, encoder.encode(frame).sam,
+                               pcfg.decoder_config()),
+                        downsample_mask(mask, stride)).item()
+             for frame, mask in zip(tube.frames, tube.masks)]
+    assert abs(got - sum(terms) / len(terms)) <= 1e-12
+
+
+def test_tube_loss_gradients_match_central_differences():
+    ep, tube, params, pcfg, encoder = tube_case()
+
+    def loss_at(p):
+        return tube_loss(ep.support_img, ep.support_mask, tube, p, pcfg, encoder)
+
+    tape = GradTape()
+    tracked, name_map = watch_params(tape, params)
+    grads = grad(tape, loss_at(tracked))
+    h = 1e-5
+    for name, coords in (("q_pos", (0, 7, 13)), ("fusion_w", (1, 40, 77)), ("e_neg", (0, 5))):
+        base = params.named()[name].data
+        ana = grads[name_map[name]].data.reshape(-1)
+        for c in coords:
+            def at(delta):
+                bumped = base.copy().reshape(-1)
+                bumped[c] += delta
+                named = dict(params.named(), **{name: Tensor(bumped.reshape(base.shape))})
+                return loss_at(ModelParams.from_named(named)).item()
+
+            fd = (at(h) - at(-h)) / (2 * h)
+            assert abs(ana[c] - fd) <= 1e-4 * max(abs(ana[c]), abs(fd), 1e-6), (name, c, ana[c], fd)
 
 
 def test_train_seed_changes_outcome():
