@@ -23,7 +23,7 @@ from .errors import (AllMasked, CheckpointMissing, ConfigError, DcsamError,
                      ShapeMismatch, UnknownClass, UntrackedLoss)
 from .losses import bce_loss, dice_loss, total_loss
 from .metrics import (MetricReport, boundary_f, boundary_pixels, default_boundary_tol,
-                      iou, jf_score, miou, write_report)
+                      iou, jf_score, mask_scores, miou, write_report)
 from .pipeline import (ModelParams, PipelineConfig, PromptSet, generate_prompts,
                        infer_mask, init_params, prior_mask, watch_params)
 from .seeding import derive_seed, episode_seed, rng_for, tag
@@ -47,7 +47,7 @@ __all__ = [
     "NonDivisibleClassCount", "ShapeMismatch", "UnknownClass", "UntrackedLoss",
     "bce_loss", "dice_loss", "total_loss",
     "MetricReport", "boundary_f", "boundary_pixels", "default_boundary_tol", "iou",
-    "jf_score", "miou", "write_report",
+    "jf_score", "mask_scores", "miou", "write_report",
     "ModelParams", "PipelineConfig", "PromptSet", "generate_prompts", "infer_mask",
     "init_params", "prior_mask", "watch_params",
     "derive_seed", "episode_seed", "rng_for", "tag",

@@ -22,7 +22,7 @@ from .episodes import class_registry, gen_episode, load_episode, save_episode, s
 from .errors import (AllMasked, CheckpointMissing, ConfigError, DivergenceDetected,
                      EmptyReport, EmptySupportMask, FrameCountMismatch, IoError,
                      NonDivisibleClassCount, ShapeMismatch, UnknownClass, UntrackedLoss)
-from .metrics import boundary_f, iou, jf_score, write_report
+from .metrics import MetricReport, mask_scores, write_report
 from .oracles import SUITES
 from .trainer import evaluate, load_checkpoint, save_checkpoint, train
 from .util import atomic_write_text
@@ -191,12 +191,10 @@ def cmd_tube(args, argv: list[str]) -> int:
     out = Path(args.out)
     pred_dir = out / "predicted"
     save_tube(pred_dir, pred)
-    report = jf_score(pred, gt)
+    js, fs = mask_scores(pred.masks, gt.masks)
+    report = MetricReport.from_frames(js, fs)
     lines = ["frame,j,f"]
-    for t in range(args.frames):
-        j_t = iou(pred.masks[t], gt.masks[t])
-        f_t = boundary_f(pred.masks[t], gt.masks[t])
-        lines.append(f"{t},{j_t!r},{f_t!r}")
+    lines += [f"{t},{j_t!r},{f_t!r}" for t, (j_t, f_t) in enumerate(zip(js.tolist(), fs.tolist()))]
     lines.append(f"# summary j={report.j!r} f={report.f!r} jf={report.jf!r}")
     frames_path = out / "frames.csv"
     atomic_write_text(frames_path, "\n".join(lines) + "\n")

@@ -2,6 +2,13 @@
 
 All metrics operate on binary masks at the data level; nothing here is
 differentiable. Empty-versus-empty comparisons count as perfect agreement.
+
+The counts behind IoU and boundary F are taken over the last two axes, so
+one implementation scores a single mask pair [H, W] (``iou``,
+``boundary_f``) and a whole stack of pairs [T, H, W] in one pass
+(``mask_scores``, which ``jf_score``, the tube command and evaluation use).
+The counts are integers, so a stacked value equals the single-pair one bit
+for bit.
 """
 from __future__ import annotations
 
@@ -18,25 +25,48 @@ from .tensor import Tensor
 from .util import atomic_write_text
 
 
-def _as_mask(x, op: str) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"{op}: masks must be 2-D, got {arr.shape}")
+def _binary(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isin(arr, (0.0, 1.0)).all():
         raise ValueError(f"{op}: masks must be binary")
     return arr.astype(bool)
 
 
+def _as_array(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _mask_pairs(preds: Sequence, gts: Sequence, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two equally long sequences of masks [H, W] as boolean stacks
+    [T, H, W]. Shapes are checked mask by mask before stacking, binarity
+    once per stack."""
+    if len(preds) != len(gts):
+        raise FrameCountMismatch(f"{op}: {len(preds)} predicted and {len(gts)} reference masks")
+    if len(preds) == 0:
+        raise EmptyReport(f"{op} over zero masks")
+    stacks = []
+    for masks in (preds, gts):
+        arrays = [_as_array(m) for m in masks]
+        for arr in arrays:
+            if arr.ndim != 2 or arr.shape != arrays[0].shape:
+                raise ShapeMismatch(f"{op}: masks must be 2-D of one shape, got {arr.shape} "
+                                    f"after {arrays[0].shape}")
+        stacks.append(_binary(np.stack(arrays), op))
+    p, g = stacks
+    if p.shape != g.shape:
+        raise ShapeMismatch(f"{op}: shapes {p.shape[1:]} and {g.shape[1:]} differ")
+    return p, g
+
+
+def _iou_values(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """IoU over the last two axes of boolean masks; empty unions score 1."""
+    inter = np.logical_and(p, g).sum(axis=(-2, -1))
+    union = np.logical_or(p, g).sum(axis=(-2, -1))
+    return np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+
+
 def iou(pred, gt) -> float:
     """Intersection over union; two empty masks agree perfectly (1.0)."""
-    p = _as_mask(pred, "iou")
-    g = _as_mask(gt, "iou")
-    if p.shape != g.shape:
-        raise ShapeMismatch(f"iou: shapes {p.shape} and {g.shape} differ")
-    union = np.logical_or(p, g).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(p, g).sum() / union)
+    return float(_iou_values(*_mask_pairs([pred], [gt], "iou"))[0])
 
 
 def miou(per_class_iou: Mapping[int, float]) -> float:
@@ -52,21 +82,30 @@ def default_boundary_tol(shape: tuple[int, int]) -> int:
     return int(math.ceil(0.008 * math.hypot(h, w)))
 
 
-def boundary_pixels(mask) -> np.ndarray:
-    """1-pixel boundary under 4-connectivity; the image border counts as outside."""
-    m = _as_mask(mask, "boundary_pixels")
-    padded = np.pad(m, 1, mode="constant", constant_values=False)
-    up = padded[:-2, 1:-1]
-    down = padded[2:, 1:-1]
-    left = padded[1:-1, :-2]
-    right = padded[1:-1, 2:]
+def _boundary(m: np.ndarray) -> np.ndarray:
+    pad = [(0, 0)] * (m.ndim - 2) + [(1, 1), (1, 1)]
+    padded = np.pad(m, pad, mode="constant", constant_values=False)
+    up = padded[..., :-2, 1:-1]
+    down = padded[..., 2:, 1:-1]
+    left = padded[..., 1:-1, :-2]
+    right = padded[..., 1:-1, 2:]
     return m & ~(up & down & left & right)
 
 
+def boundary_pixels(mask) -> np.ndarray:
+    """1-pixel boundary under 4-connectivity of a mask [H, W], or of each mask
+    of a stack [T, H, W]; the image border counts as outside."""
+    arr = _as_array(mask)
+    if arr.ndim not in (2, 3):
+        raise ShapeMismatch(f"boundary_pixels: expected [H, W] or [T, H, W], got {arr.shape}")
+    return _boundary(_binary(arr, "boundary_pixels"))
+
+
 def _dilate_chebyshev(b: np.ndarray, tol: int) -> np.ndarray:
+    """Dilate over the last two axes by a (2 tol + 1)-square window."""
     if tol == 0:
         return b
-    h, w = b.shape
+    h, w = b.shape[-2:]
     out = np.zeros_like(b)
     for dr in range(-tol, tol + 1):
         for dc in range(-tol, tol + 1):
@@ -74,8 +113,27 @@ def _dilate_chebyshev(b: np.ndarray, tol: int) -> np.ndarray:
             dst_r = slice(max(0, dr), h - max(0, -dr))
             src_c = slice(max(0, -dc), w - max(0, dc))
             dst_c = slice(max(0, dc), w - max(0, -dc))
-            out[dst_r, dst_c] |= b[src_r, src_c]
+            out[..., dst_r, dst_c] |= b[..., src_r, src_c]
     return out
+
+
+def _boundary_f_values(p: np.ndarray, g: np.ndarray, tol: int | None, op: str) -> np.ndarray:
+    """Boundary F over the last two axes of boolean masks (see ``boundary_f``)."""
+    if tol is None:
+        tol = default_boundary_tol(p.shape[-2:])
+    if tol < 0:
+        raise ValueError(f"{op}: tolerance must be non-negative, got {tol}")
+    pb, gb = _boundary(p), _boundary(g)
+    p_count, g_count = pb.sum(axis=(-2, -1)), gb.sum(axis=(-2, -1))
+    p_hits = (pb & _dilate_chebyshev(gb, tol)).sum(axis=(-2, -1))
+    g_hits = (gb & _dilate_chebyshev(pb, tol)).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = p_hits / p_count
+        recall = g_hits / g_count
+        f = 2.0 * precision * recall / (precision + recall)
+    both_free = (p_count == 0) & (g_count == 0)
+    unmatched = (p_count == 0) | (g_count == 0) | (precision + recall == 0.0)
+    return np.select([both_free, unmatched], [1.0, 0.0], f)
 
 
 def boundary_f(pred, gt, tol: int | None = None) -> float:
@@ -85,26 +143,19 @@ def boundary_f(pred, gt, tol: int | None = None) -> float:
     the reference boundary; recall is symmetric; F is their harmonic mean.
     Two boundary-free masks score 1; exactly one boundary-free mask scores 0.
     """
-    p = _as_mask(pred, "boundary_f")
-    g = _as_mask(gt, "boundary_f")
-    if p.shape != g.shape:
-        raise ShapeMismatch(f"boundary_f: shapes {p.shape} and {g.shape} differ")
-    if tol is None:
-        tol = default_boundary_tol(p.shape)
-    if tol < 0:
-        raise ValueError(f"boundary_f: tolerance must be non-negative, got {tol}")
-    pb = boundary_pixels(p)
-    gb = boundary_pixels(g)
-    np_count, ng_count = pb.sum(), gb.sum()
-    if np_count == 0 and ng_count == 0:
-        return 1.0
-    if np_count == 0 or ng_count == 0:
-        return 0.0
-    precision = float((pb & _dilate_chebyshev(gb, tol)).sum() / np_count)
-    recall = float((gb & _dilate_chebyshev(pb, tol)).sum() / ng_count)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    p, g = _mask_pairs([pred], [gt], "boundary_f")
+    return float(_boundary_f_values(p, g, tol, "boundary_f")[0])
+
+
+def mask_scores(preds: Sequence, gts: Sequence, tol: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and boundary F of each pair of two equally long sequences of masks
+    [H, W] (tube frames, or the episodes of an evaluation chunk), as two
+    float arrays [T]. The masks are validated and stacked once and every
+    pair is scored in one pass; each value equals ``iou`` / ``boundary_f``
+    of its pair."""
+    p, g = _mask_pairs(preds, gts, "mask_scores")
+    return _iou_values(p, g), _boundary_f_values(p, g, tol, "mask_scores")
 
 
 @dataclass(frozen=True)
@@ -140,19 +191,17 @@ class MetricReport:
         # A tube scores one instance; there is no class map, miou mirrors J.
         return cls(per_class_iou={}, miou=j, j=j, f=f, jf=0.5 * (j + f))
 
+    @classmethod
+    def from_frames(cls, js: np.ndarray, fs: np.ndarray) -> "MetricReport":
+        """The tube report of per-frame J and F values (see ``mask_scores``)."""
+        return cls.from_tube(j=float(np.mean(js)), f=float(np.mean(fs)))
+
 
 def jf_score(tube_pred, tube_gt, tol: int | None = None) -> MetricReport:
     """J&F for a pair of mask tubes: J is the mean per-frame IoU, F the mean
     per-frame boundary F-measure, J&F their arithmetic mean."""
-    pred_masks = getattr(tube_pred, "masks", tube_pred)
-    gt_masks = getattr(tube_gt, "masks", tube_gt)
-    if len(pred_masks) != len(gt_masks):
-        raise FrameCountMismatch(f"tubes have {len(pred_masks)} and {len(gt_masks)} frames")
-    if len(pred_masks) == 0:
-        raise EmptyReport("jf_score over zero frames")
-    js = [iou(p, g) for p, g in zip(pred_masks, gt_masks)]
-    fs = [boundary_f(p, g, tol) for p, g in zip(pred_masks, gt_masks)]
-    return MetricReport.from_tube(j=float(np.mean(js)), f=float(np.mean(fs)))
+    return MetricReport.from_frames(*mask_scores(getattr(tube_pred, "masks", tube_pred),
+                                                 getattr(tube_gt, "masks", tube_gt), tol))
 
 
 def report_csv_text(fold: int, report: MetricReport) -> str:

@@ -6,6 +6,7 @@ the vectorized production path. The suites are what `dcsam oracle` runs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,10 +18,12 @@ from .config import TrainConfig
 from .decoder import decode
 from .episodes import CLASS_COUNT, gen_episode
 from .losses import total_loss
-from .pipeline import downsample_mask, generate_prompts, init_params, watch_params
+from .metrics import boundary_f, iou, jf_score, mask_scores
+from .pipeline import downsample_mask, generate_prompts, init_params, upsample_map, watch_params
 from .seeding import derive_seed, rng_for, tag
-from .tensor import GradTape, Tensor, grad, masked_softmax_rows
+from .tensor import GradTape, Tensor, binarize, grad, masked_softmax_rows
 from .trainer import batch_forward, encode_episodes, grad_check
+from .video import make_tube, propagate_first_frame
 
 
 @dataclass(frozen=True)
@@ -260,9 +263,75 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
     return SuiteResult("batch", trials, failures, tuple(detail))
 
 
+def tube_loop_reference(tube, support_img, support_mask, params, pcfg, encoder
+                        ) -> tuple[np.ndarray, list[float], list[float]]:
+    """Predicted masks [T, H, W] and per-frame J and F of first-frame
+    propagation, one frame at a time: each frame encoded alone (frame 0 once
+    more for the prompts), decoded alone and scored by ``iou`` and
+    ``boundary_f``."""
+    mask_feat = downsample_mask(support_mask, encoder.stride)
+    prompts, _ = generate_prompts(encoder.encode(support_img), encoder.encode(tube.frames[0]),
+                                  mask_feat, params, pcfg)
+    masks, js, fs = [], [], []
+    for frame, gt in zip(tube.frames, tube.masks):
+        probs = decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, pcfg.decoder_config())
+        mask = binarize(upsample_map(probs, encoder.stride))
+        masks.append(mask.data)
+        js.append(iou(mask, gt))
+        fs.append(boundary_f(mask, gt))
+    return np.stack(masks), js, fs
+
+
+# Tube lengths around the propagation chunk of 4 frames, up to the benchmark's 32.
+TUBE_CASES = tuple(itertools.product((1, 3, 4, 5, 9, 32), (16, 32), (1, 2), (True, False)))
+
+
+def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
+    """Chunked propagation and stacked J&F against the frame-by-frame loop.
+
+    Trial t runs case ``TUBE_CASES[t % len(TUBE_CASES)]`` (tube length,
+    canvas, encoder stride, negative branch) on a random episode and random
+    parameters. The predicted masks must have equal bytes; the per-frame J
+    and F of ``mask_scores`` and the J and F of ``jf_score`` must equal the
+    reference's values and their means exactly.
+    """
+    rng = rng_for(seed, tag("oracle"), 5)
+    failures = 0
+    detail: list[str] = []
+    for t in range(trials):
+        frames, canvas, stride, neg = TUBE_CASES[t % len(TUBE_CASES)]
+        cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 5, t), canvas=canvas,
+                          stride=stride, use_neg_branch=neg)
+        pcfg = cfg.pipeline_config()
+        encoder = pcfg.encoder(cfg.seed)
+        params = init_params(pcfg, cfg.seed)
+        ep = gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
+                         (canvas, canvas))
+        tube = make_tube(ep, frames, int(rng.integers(0, 2**31)))
+        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, pcfg, encoder)
+        want_masks, want_j, want_f = tube_loop_reference(tube, ep.support_img, ep.support_mask,
+                                                         params, pcfg, encoder)
+        js, fs = mask_scores(pred.masks, tube.masks)
+        report = jf_score(pred, tube)
+        problems = []
+        if np.stack([m.data for m in pred.masks]).tobytes() != want_masks.tobytes():
+            problems.append("predicted masks differ")
+        if js.tolist() != want_j or fs.tolist() != want_f:
+            problems.append("per-frame J or F differs")
+        if (report.j, report.f) != (float(np.mean(want_j)), float(np.mean(want_f))):
+            problems.append("tube J or F differs")
+        if problems:
+            failures += 1
+            if len(detail) < 5:
+                detail.append(f"trial {t} ({frames} frames, canvas {canvas}, stride {stride}, "
+                              f"negative branch {neg}): {'; '.join(problems)}")
+    return SuiteResult("tube", trials, failures, tuple(detail))
+
+
 SUITES = {
     "cyc": run_cyc_suite,
     "softmax": run_softmax_suite,
     "grad": run_grad_suite,
     "batch": run_batch_suite,
+    "tube": run_tube_suite,
 }

@@ -14,7 +14,7 @@ from .encoder import EncoderMaps, StubEncoder
 from .episodes import Episode, FoldSplit, gen_episode
 from .errors import CheckpointMissing, DivergenceDetected, EmptyReport, IoError
 from .losses import total_loss
-from .metrics import MetricReport, boundary_f, iou
+from .metrics import MetricReport, mask_scores
 from .pipeline import (ModelParams, PipelineConfig, PromptSet, downsample_mask,
                        generate_prompts, infer_mask, init_params, watch_params)
 from .decoder import decode
@@ -203,10 +203,10 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
                     for cls, i in chunk]
         support_img, support_mask, query_img, _ = stack_episodes(episodes)
         preds = binarize(infer_mask(support_img, support_mask, query_img, params, pcfg, encoder))
-        for (cls, _i), ep, pred in zip(chunk, episodes, preds.data):
-            pred = Tensor(pred)
-            per_class[cls].append(iou(pred, ep.query_mask))
-            f_values.append(boundary_f(pred, ep.query_mask))
+        js, fs = mask_scores(preds.data, [ep.query_mask for ep in episodes])
+        for (cls, _i), j in zip(chunk, js.tolist()):
+            per_class[cls].append(j)
+        f_values.extend(fs.tolist())
     class_iou = {cls: float(np.mean(vals)) for cls, vals in per_class.items()}
     j = float(np.mean(list(class_iou.values())))
     return MetricReport.from_classes(class_iou, j=j, f=float(np.mean(f_values)))

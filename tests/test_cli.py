@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point, in process."""
 import json
 
+import numpy as np
 import pytest
 
 from dcsam.cli import RunManifest, main, write_manifest
@@ -153,6 +154,10 @@ def test_tube_outputs(trained, tmp_path):
     assert lines[0] == "frame,j,f"
     assert len([l for l in lines if not l.startswith("#")]) == 4
     assert lines[-1].startswith("# summary j=")
+    # the summary is the mean of the frame rows, from the same scoring pass
+    js = [float(l.split(",")[1]) for l in lines[1:-1]]
+    fs = [float(l.split(",")[2]) for l in lines[1:-1]]
+    assert lines[-1].startswith(f"# summary j={float(np.mean(js))!r} f={float(np.mean(fs))!r} ")
 
 
 def test_tube_rejects_zero_frames(trained, tmp_path):

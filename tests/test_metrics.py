@@ -11,6 +11,7 @@ from dcsam.metrics import (
     default_boundary_tol,
     iou,
     jf_score,
+    mask_scores,
     miou,
     report_csv_text,
     write_report,
@@ -137,6 +138,53 @@ def test_jf_score_frame_count_and_empty():
         jf_score([m, m], [m])
     with pytest.raises(EmptyReport):
         jf_score([], [])
+    # shapes are checked frame by frame, before the masks are stacked
+    with pytest.raises(ShapeMismatch):
+        jf_score([m, np.zeros((9, 9))], [m, m])
+    with pytest.raises(ShapeMismatch):
+        jf_score([m, m], [m, np.zeros((8, 9))])
+    with pytest.raises(ShapeMismatch):
+        jf_score([m, m], [np.zeros((9, 9)), np.zeros((9, 9))])
+    with pytest.raises(ShapeMismatch):
+        jf_score([np.zeros((2, 8, 8))], [m])
+    with pytest.raises(ValueError):
+        jf_score([m, np.full((8, 8), 0.5)], [m, m])
+
+
+def random_mask_pairs(rng, count=40, shape=(12, 12)):
+    """Random masks of varied density, plus empty (boundary-free), full and
+    single-pixel masks against empty and non-empty partners."""
+    def mask(density):
+        return (rng.random(shape) < density).astype(float)
+
+    preds = [mask(rng.random()) for _ in range(count)]
+    gts = [mask(rng.random()) for _ in range(count)]
+    empty, full, dot = np.zeros(shape), np.ones(shape), np.zeros(shape)
+    dot[5, 7] = 1.0
+    preds += [empty, empty, gts[0], full, dot, dot, empty]
+    gts += [empty, preds[0], empty, full, dot, empty, full]
+    return preds, gts
+
+
+@pytest.mark.parametrize("tol", [0, 1, 2])
+def test_mask_scores_equal_per_mask_metrics(rng, tol):
+    preds, gts = random_mask_pairs(rng)
+    js, fs = mask_scores(preds, gts, tol)
+    assert js.tolist() == [iou(p, g) for p, g in zip(preds, gts)]
+    assert fs.tolist() == [boundary_f(p, g, tol) for p, g in zip(preds, gts)]
+    assert js.tolist() == [iou_loops(p, g) for p, g in zip(preds, gts)]
+    rep = jf_score(preds, gts, tol)
+    assert rep.j == float(np.mean([iou(p, g) for p, g in zip(preds, gts)]))
+    assert rep.f == float(np.mean([boundary_f(p, g, tol) for p, g in zip(preds, gts)]))
+
+
+def test_boundary_pixels_of_a_stack_are_per_mask(rng):
+    preds, _ = random_mask_pairs(rng)
+    stacked = boundary_pixels(np.stack(preds))
+    for mask, border in zip(preds, stacked):
+        assert np.array_equal(border, boundary_pixels(mask))
+    with pytest.raises(ShapeMismatch):
+        boundary_pixels(np.zeros(5))
 
 
 def test_metric_report_consistency():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dcsam import tensor as tensor_module
+from dcsam import video as video_module
+from dcsam.tensor import Tensor
 from dcsam.oracles import (
     SUITES,
     SuiteResult,
@@ -9,6 +11,7 @@ from dcsam.oracles import (
     run_cyc_suite,
     run_grad_suite,
     run_softmax_suite,
+    run_tube_suite,
     softmax_rows_reference,
 )
 
@@ -76,6 +79,19 @@ def test_grad_suite_catches_corrupted_backward(monkeypatch):
 
 
 def test_suites_registry():
-    assert set(SUITES) == {"cyc", "softmax", "grad", "batch"}
+    assert set(SUITES) == {"cyc", "softmax", "grad", "batch", "tube"}
     for fn in SUITES.values():
         assert callable(fn)
+
+
+def test_tube_suite_passes_and_catches_misordered_frames(monkeypatch):
+    assert run_tube_suite(trials=12, seed=0).passed
+    original = video_module.decode
+
+    def reversed_stack(pos, neg, feats, cfg):
+        return original(pos, neg, Tensor(feats.data[::-1]), cfg)
+
+    monkeypatch.setattr(video_module, "decode", reversed_stack)
+    result = run_tube_suite(trials=12, seed=0)
+    assert not result.passed
+    assert any("predicted masks differ" in line for line in result.detail)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dcsam.config import TrainConfig
 from dcsam.episodes import gen_episode
 from dcsam.errors import FrameCountMismatch, IoError, ShapeMismatch
+from dcsam.oracles import tube_loop_reference
 from dcsam.pipeline import downsample_mask, generate_prompts, infer_mask, init_params
 from dcsam.tensor import Tensor, binarize
 from dcsam.video import (
+    FRAME_CHUNK,
     MaskTube,
     TransformSpec,
     load_tube,
@@ -179,3 +183,38 @@ def test_propagation_keeps_frames_and_transforms():
     for mask in pred.masks:
         assert mask.shape == tube.frames[0].shape
         assert np.isin(mask.data, (0.0, 1.0)).all()
+
+
+@pytest.mark.parametrize("stride,neg", [(1, True), (2, True), (2, False)])
+def test_chunked_propagation_equals_the_frame_loop(stride, neg):
+    pcfg = TrainConfig(seed=3, stride=stride, use_neg_branch=neg).pipeline_config()
+    params = init_params(pcfg, seed=6)
+    encoder = pcfg.encoder(seed=3)
+    ep = gen_episode(3, 12, (16, 16))
+    for frames in (FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1):
+        tube = make_tube(ep, frames, seed=frames)
+        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, pcfg, encoder)
+        want, _, _ = tube_loop_reference(tube, ep.support_img, ep.support_mask,
+                                         params, pcfg, encoder)
+        got = np.stack([m.data for m in pred.masks])
+        assert got.tobytes() == want.tobytes()
+        if neg:  # without the negative branch, untrained prompts fill the frame
+            assert 0.0 < got.mean() < 1.0
+
+
+def test_propagation_memory_is_bounded_by_the_chunk():
+    pcfg = TrainConfig(seed=0, canvas=32).pipeline_config()
+    params = init_params(pcfg, seed=1)
+    encoder = pcfg.encoder(seed=0)
+    ep = gen_episode(3, 5, (32, 32))
+    peaks = []
+    for frames in (1, 32):
+        tube = make_tube(ep, frames, seed=2)
+        tracemalloc.start()
+        try:
+            propagate_first_frame(tube, ep.support_img, ep.support_mask, params, pcfg, encoder)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # all 32 frames stacked at once add about 19 MB
+    assert peaks[1] - peaks[0] <= 2 * 2**20
