@@ -6,11 +6,13 @@ cycle-consistent attention are calls of it. The bias walks each support
 position through a query-and-back round trip over the affinity matrix:
 support position j picks its strongest query i*, i* picks its strongest
 support position j*, and j stays visible only when j and j* carry the same
-mask label. Inconsistent positions are masked with the -inf sentinel, so
-their attention weight is exactly zero.
+mask label. The bias is a plain float64 array: 0 for a kept position and
+-inf for an inconsistent one, whose attention weight is then exactly zero.
+``masked_softmax_rows`` is the only consumer, and the only operation that
+accepts -inf.
 
 The round trip is an argmax chain, piecewise constant in the inputs, so the
-bias is detached: no gradient flows through it, only through the affinity
+bias is a constant: no gradient flows through it, only through the affinity
 logits themselves.
 
 Every function also takes a batch of episodes: features, masks and
@@ -59,14 +61,14 @@ def affinity(q: Tensor, k: Tensor) -> Tensor:
     return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
 
 
-def cycle_bias(a: Tensor, mask: Tensor) -> Tensor:
+def cycle_bias(a: Tensor, mask: Tensor) -> np.ndarray:
     """Round-trip consistency bias for an affinity matrix ``a`` of [N, HW].
 
     For support position j: i* = argmax_i a[i, j], then j* = argmax_j' a[i*, j'];
     bias[j] is 0 when mask[j] == mask[j*], else -inf. Ties break toward the
-    smallest index. Detached by construction (operates on raw values). A
-    batch [B, N, HW] with masks [B, HW] gives one chain and one bias row per
-    episode. The result is an additive softmax bias [HW] (or [B, HW]).
+    smallest index. A constant array computed from raw values, off the tape.
+    A batch [B, N, HW] with masks [B, HW] gives one chain and one bias row
+    per episode. The result is an additive softmax bias [HW] (or [B, HW]).
     """
     if a.ndim not in (2, 3):
         raise ShapeMismatch(f"cycle_bias needs a 2-D or batched 3-D affinity, got {a.shape}")
@@ -80,8 +82,7 @@ def cycle_bias(a: Tensor, mask: Tensor) -> Tensor:
     i_star = np.argmax(vals, axis=-2)         # per support position, first max
     row_best = np.argmax(vals, axis=-1)       # per query, first max
     j_star = np.take_along_axis(row_best, i_star, axis=-1)
-    bias = np.where(m == np.take_along_axis(m, j_star, axis=-1), 0.0, -np.inf)
-    return Tensor(bias, neg_inf_ok=True)
+    return np.where(m == np.take_along_axis(m, j_star, axis=-1), 0.0, -np.inf)
 
 
 def cross_attention(block: AttentionBlock, queries: Tensor, feats: Tensor,
@@ -111,7 +112,7 @@ def _attention_weights(block: AttentionBlock, queries: Tensor, feats: Tensor,
     # are freed before the values are projected: a batch then holds one
     # [B, N, HW] array fewer at its peak.
     scores = affinity(T.matmul(queries, block.wq), T.matmul(feats, block.wk))
-    bias = (T.zeros(scores.shape[:-2] + scores.shape[-1:]) if mask is None
+    bias = (np.zeros(scores.shape[:-2] + scores.shape[-1:]) if mask is None
             else cycle_bias(scores, mask))
     return T.masked_softmax_rows(scores, bias)
 

@@ -23,8 +23,6 @@ _MAX_ELEMENTS = 1 << 28
 
 
 def tensor_bytes(t: Tensor) -> bytes:
-    if t.neg_inf_ok:
-        raise IoError("bias tensors carry the -inf sentinel and are not serializable")
     dims = t.shape
     if len(dims) > 255:
         raise IoError(f"rank {len(dims)} exceeds the format limit of 255")

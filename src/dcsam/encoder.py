@@ -31,6 +31,10 @@ class EncoderMaps:
     high: Tensor  # [d_high, H, W]
     sam: Tensor   # [d_sam, H, W]
 
+    def at(self, i: int) -> EncoderMaps:
+        """Maps of image ``i`` of a stack encoded with ``batched=True``."""
+        return EncoderMaps(*(Tensor(m.data[i]) for m in (self.mid, self.high, self.sam)))
+
 
 class StubEncoder:
     """Frozen projections of local statistics, shared across all episodes."""

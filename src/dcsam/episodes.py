@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ from . import dcst
 from .errors import IoError, NonDivisibleClassCount, ShapeMismatch, UnknownClass
 from .seeding import rng_for, tag
 from .tensor import Tensor
-from .util import atomic_write_text
+from .util import atomic_write_text, int_field
 
 CLASS_COUNT = 16
 FAMILY_COUNT = 8
@@ -267,7 +266,6 @@ def gen_episode(class_id: int, seed: int, canvas: tuple[int, int] = (16, 16)) ->
 # On-disk episode bundles.
 
 _BUNDLE_FILES = ("support.dcst", "support_mask.dcst", "query.dcst", "query_mask.dcst")
-_META_LINE = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
 
 
 def save_episode(directory: str | Path, ep: Episode) -> list[Path]:
@@ -297,10 +295,10 @@ def load_episode(directory: str | Path) -> Episode:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        m = _META_LINE.match(line)
-        if not m:
+        field = int_field(line)
+        if field is None:
             raise IoError(f"{meta_path}: malformed line {line!r}")
-        fields[m.group(1)] = int(m.group(2))
+        fields[field[0]] = field[1]
     for key in ("class_id", "seed"):
         if key not in fields:
             raise IoError(f"{meta_path}: missing key {key!r}")

@@ -95,7 +95,7 @@ def run_cyc_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
             k = np.round(k)
         a = (q @ k.T) / math.sqrt(d)
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).data
+        got = cycle_bias(Tensor(a), Tensor(mask))
         want = cycle_bias_reference(a, mask)
         if not np.array_equal(_bias_pattern(got), _bias_pattern(want)):
             failures += 1
@@ -122,7 +122,7 @@ def run_softmax_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
             if drop.all():
                 drop[int(rng.integers(0, cols))] = False
             bias[drop] = -np.inf
-        got = masked_softmax_rows(Tensor(x), Tensor(bias, neg_inf_ok=True)).data
+        got = masked_softmax_rows(Tensor(x), bias).data
         want = softmax_rows_reference(x, bias)
         ok = (np.abs(got - want).max() < 1e-12
               and np.abs(got.sum(axis=1) - 1.0).max() < 1e-9
@@ -252,8 +252,8 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
         if t % 2 == 0:
             a = np.round(a)
         mask = rng.integers(0, 2, size=(b, hw)).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).data
-        want = np.stack([cycle_bias(Tensor(a[i]), Tensor(mask[i])).data for i in range(b)])
+        got = cycle_bias(Tensor(a), Tensor(mask))
+        want = np.stack([cycle_bias(Tensor(a[i]), Tensor(mask[i])) for i in range(b)])
         if not np.array_equal(got, want):
             problems.append("cycle-bias pattern differs from the per-episode one")
         if problems:

@@ -14,8 +14,9 @@ Conventions:
     a batched op, typically a parameter, is shared by every episode and its
     gradient sums over them,
   * ops are plain functions: a ``Tensor`` has no arithmetic operators,
-  * -inf is a reserved sentinel accepted only by the bias argument of
-    ``masked_softmax_rows``; every other operand must be finite,
+  * every tensor holds finite values. The one place -inf may appear is the
+    constant bias array of ``masked_softmax_rows``, which masks a position
+    out of the softmax; it is a plain NumPy array, never a tensor,
   * argmax-style choices (none live here, see ``attention``) break ties
     toward the smallest index,
   * a scalar is a rank-0 tensor.
@@ -39,23 +40,20 @@ __all__ = [
 
 
 class Tensor:
-    """Immutable dense array of 64-bit floats.
+    """Immutable dense array of finite 64-bit floats.
 
-    ``neg_inf_ok`` marks a tensor as a masked-attention bias carrier, the
-    only place the -inf sentinel may appear. ``tape``/``nid`` are set when
-    the tensor was produced under a GradTape.
+    ``tape``/``nid`` are set when the tensor was produced under a GradTape.
     """
 
-    __slots__ = ("data", "tape", "nid", "neg_inf_ok")
+    __slots__ = ("data", "tape", "nid")
 
-    def __init__(self, data, *, neg_inf_ok: bool = False):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        _validate_values(arr, neg_inf_ok)
+        _validate_values(arr)
         arr.setflags(write=False)
         self.data = arr
         self.tape: GradTape | None = None
         self.nid: int | None = None
-        self.neg_inf_ok = neg_inf_ok
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,15 +77,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tracked})\n{self.data!r}"
 
 
-def _validate_values(arr: np.ndarray, neg_inf_ok: bool) -> None:
-    if neg_inf_ok:
-        if np.isnan(arr).any() or (arr == np.inf).any():
-            raise ValueError("bias tensor may hold finite values or -inf only")
-    elif not np.isfinite(arr).all():
-        raise ValueError("tensor data must be finite (-inf is reserved for attention bias)")
+def _validate_values(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor data must be finite")
 
 
-def _wrap(arr: np.ndarray, *, neg_inf_ok: bool = False, validate: bool = True) -> Tensor:
+def _wrap(arr: np.ndarray, *, validate: bool = True) -> Tensor:
     """Adopt an op-owned array without copying.
 
     Unlike construction from user data, a non-finite value here means an
@@ -100,14 +95,13 @@ def _wrap(arr: np.ndarray, *, neg_inf_ok: bool = False, validate: bool = True) -
     arr = np.asarray(arr, dtype=np.float64, order="C")
     if validate:
         try:
-            _validate_values(arr, neg_inf_ok)
+            _validate_values(arr)
         except ValueError as err:
             raise FloatingPointError(str(err)) from None
     arr.setflags(write=False)
     out.data = arr
     out.tape = None
     out.nid = None
-    out.neg_inf_ok = neg_inf_ok
     return out
 
 
@@ -123,7 +117,7 @@ def detach(t: Tensor) -> Tensor:
     """Same values, no tape: gradients stop here."""
     if t.tape is None:
         return t
-    return _wrap(t.data, neg_inf_ok=t.neg_inf_ok, validate=False)
+    return _wrap(t.data, validate=False)
 
 
 def binarize(t: Tensor, threshold: float = 0.5) -> Tensor:
@@ -149,8 +143,6 @@ class GradTape:
 
     def watch(self, t: Tensor) -> Tensor:
         """Register a parameter and return its tracked alias."""
-        if t.neg_inf_ok:
-            raise ValueError("bias tensors are constants and cannot be watched")
         if t.tape is not None:
             raise ValueError("tensor is already tracked on a tape")
         tracked = self._adopt(t.data)
@@ -201,8 +193,7 @@ def grad(tape: GradTape, loss: Tensor) -> dict[Tensor, Tensor]:
     return out
 
 
-def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, neg_inf_ok: bool = False,
-          validate: bool = True) -> Tensor:
+def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, validate: bool = True) -> Tensor:
     """Wrap an op result, recording it on the inputs' tape when tracked."""
     tape: GradTape | None = None
     for t in inputs:
@@ -212,16 +203,10 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, neg_inf_ok: bool =
             elif tape is not t.tape:
                 raise ValueError("operands belong to different tapes")
     if tape is None:
-        return _wrap(data, neg_inf_ok=neg_inf_ok, validate=validate)
+        return _wrap(data, validate=validate)
     out = tape._adopt(np.asarray(data, dtype=np.float64, order="C"), validate)
     tape._records.append((out.nid, tuple(t.nid for t in inputs), vjp))
     return out
-
-
-def _reject_bias(op: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if t.neg_inf_ok:
-            raise ValueError(f"{op} does not accept attention-bias tensors")
 
 
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -348,21 +333,18 @@ def _conv1x1_vjp(g, x, w):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _reject_bias("add", a, b)
     _same_shape("add", a, b)
     return _emit(a.data + b.data, (a, b), lambda g: _add_vjp(g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _reject_bias("sub", a, b)
     _same_shape("sub", a, b)
     return _emit(a.data - b.data, (a, b), lambda g: _sub_vjp(g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _reject_bias("mul", a, b)
     _same_shape("mul", a, b)
     da, db = a.data, b.data
     return _emit(da * db, (a, b), lambda g: _mul_vjp(g, da, db))
@@ -370,25 +352,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _reject_bias("div", a, b)
     _same_shape("div", a, b)
     da, db = a.data, b.data
     return _emit(da / db, (a, b), lambda g: _div_vjp(g, da, db))
 
 
 def neg(a: Tensor) -> Tensor:
-    _reject_bias("neg", a)
     return _emit(-a.data, (a,), lambda g: _neg_vjp(g))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    _reject_bias("add_scalar", a)
     c = float(c)
     return _emit(a.data + c, (a,), lambda g: _identity_vjp(g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    _reject_bias("scale", a)
     c = float(c)
     if c == 1.0:
         return a    # exact identity: no new values, nothing to record
@@ -399,7 +377,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Strict 2-D matrix product, or a batch of them: a 3-D operand is a
     stack [B, n, k] or [B, k, m], and a 2-D operand is shared by the batch."""
     a, b = as_tensor(a), as_tensor(b)
-    _reject_bias("matmul", a, b)
     if a.ndim not in (2, 3) or b.ndim not in (2, 3):
         raise ShapeMismatch(f"matmul needs 2-D or batched 3-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -412,7 +389,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     """Matrix transpose; a batched [B, r, c] transposes every episode."""
-    _reject_bias("transpose", a)
     if a.ndim not in (2, 3):
         raise ShapeMismatch(f"transpose needs a 2-D or batched 3-D tensor, got {a.shape}")
     return _emit(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,),
@@ -420,7 +396,6 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    _reject_bias("reshape", a)
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape):
         raise ShapeMismatch(f"reshape target must be positive dims, got {shape}")
@@ -437,7 +412,6 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeMismatch("concat_channels needs at least one tensor")
     parts = [as_tensor(p) for p in parts]
-    _reject_bias("concat_channels", *parts)
     first = parts[0].shape
     if len(first) < 3:
         raise ShapeMismatch(f"concat_channels: {first} has no channel axis")
@@ -452,7 +426,6 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
 def tile_spatial(v: Tensor, h: int, w: int) -> Tensor:
     """Broadcast a channel vector [C] to a constant map [C, h, w], or a batch
     [B, C] to [B, C, h, w]."""
-    _reject_bias("tile_spatial", v)
     if v.ndim not in (1, 2):
         raise ShapeMismatch(f"tile_spatial needs a 1-D or batched 2-D tensor, got {v.shape}")
     out = np.broadcast_to(v.data[..., None, None], v.shape + (int(h), int(w))).copy()
@@ -462,7 +435,6 @@ def tile_spatial(v: Tensor, h: int, w: int) -> Tensor:
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a vector [c] to every row of a matrix [r, c] or of a batch [B, r, c]."""
     m, v = as_tensor(m), as_tensor(v)
-    _reject_bias("add_rowvec", m, v)
     if m.ndim not in (2, 3) or v.ndim != 1 or m.shape[-1] != v.shape[0]:
         raise ShapeMismatch(f"add_rowvec: got matrix {m.shape} and vector {v.shape}")
     return _emit(m.data + v.data, (m, v), lambda g: _add_rowvec_vjp(g))
@@ -470,7 +442,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 def sum_all(a: Tensor, batched: bool = False) -> Tensor:
     """Sum of every element; with ``batched``, one sum per episode: [B, ...] -> [B]."""
-    _reject_bias("sum_all", a)
     shape = a.shape
     if batched:
         if a.ndim < 1:
@@ -482,7 +453,6 @@ def sum_all(a: Tensor, batched: bool = False) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    _reject_bias("exp", a)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
     if not np.isfinite(out).all():
@@ -491,7 +461,6 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    _reject_bias("log", a)
     if (a.data <= 0.0).any():
         raise FloatingPointError("log needs strictly positive inputs")
     da = a.data
@@ -500,7 +469,6 @@ def log(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic function."""
-    _reject_bias("sigmoid", a)
     x = a.data
     out = np.empty_like(x)
     pos = x >= 0
@@ -512,7 +480,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; the gradient passes through the unclipped region."""
-    _reject_bias("clamp", a)
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
         raise ShapeMismatch(f"clamp: lo={lo} exceeds hi={hi}")
@@ -523,7 +490,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def logsumexp0(a: Tensor) -> Tensor:
     """Stable log-sum-exp over the rows of a 2-D tensor: [r, c] -> [c], or
     per episode of a batch: [B, r, c] -> [B, c]."""
-    _reject_bias("logsumexp0", a)
     if a.ndim not in (2, 3):
         raise ShapeMismatch(f"logsumexp0 needs a 2-D or batched 3-D tensor, got {a.shape}")
     x = a.data
@@ -538,26 +504,27 @@ def logsumexp0(a: Tensor) -> Tensor:
     return _emit(out, (a,), lambda g: _logsumexp0_vjp(g, soft))
 
 
-def masked_softmax_rows(x: Tensor, bias: Tensor) -> Tensor:
+def masked_softmax_rows(x: Tensor, bias: np.ndarray) -> Tensor:
     """Row-wise softmax of ``x + bias``.
 
-    The bias is a constant: it may carry the -inf sentinel (those entries
-    come out exactly 0) and no gradient is propagated into it. A row whose
-    entries are all masked raises AllMasked. Shapes: x is [r, c]; bias is
-    [c] or [r, c]. Batched: x is [B, r, c]; bias is one row per episode
-    [B, c], or [B, r, c].
+    The bias is a constant NumPy array, not a tensor: its entries are finite
+    or -inf (those come out exactly 0), and no gradient is propagated into
+    it. A row whose entries are all masked raises AllMasked. Shapes: x is
+    [r, c]; bias is [c] or [r, c]. Batched: x is [B, r, c]; bias is one row
+    per episode [B, c], or [B, r, c].
     """
     x = as_tensor(x)
-    _reject_bias("masked_softmax_rows (logits)", x)
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"masked_softmax_rows needs 2-D or batched 3-D logits, got {x.shape}")
-    b = as_tensor(bias) if not isinstance(bias, Tensor) else bias
-    if b.shape == x.shape:
-        bdata = b.data
-    elif b.shape == x.shape[:-2] + x.shape[-1:]:
-        bdata = b.data[..., None, :]
+    bias = np.asarray(bias, dtype=np.float64)
+    if bias.shape == x.shape:
+        bdata = bias
+    elif bias.shape == x.shape[:-2] + x.shape[-1:]:
+        bdata = bias[..., None, :]
     else:
-        raise ShapeMismatch(f"bias {b.shape} does not match logits {x.shape}")
+        raise ShapeMismatch(f"bias {bias.shape} does not match logits {x.shape}")
+    if np.isnan(bias).any() or (bias == np.inf).any():
+        raise ValueError("softmax bias may hold finite values or -inf only")
     # x is finite and the bias finite or -inf, so a row's max is -inf exactly
     # when the whole row is masked, and a masked entry exponentiates to 0.
     s = x.data + bdata
@@ -577,7 +544,6 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     batched x [B, C_in, H, W] gives [B, C_out, H, W].
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    _reject_bias("conv1x1", x, w, b)
     if x.ndim not in (3, 4) or w.ndim != 2 or b.ndim != 1:
         raise ShapeMismatch(f"conv1x1: expected ranks (3 or 4, 2, 1), got {x.shape}, {w.shape}, {b.shape}")
     if w.shape[1] != x.shape[-3]:

@@ -20,7 +20,7 @@ from .pipeline import (ModelParams, PipelineConfig, PromptSet, downsample_mask,
 from .decoder import decode
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, grad
-from .util import atomic_write_text
+from .util import atomic_write_text, int_field
 from .video import MaskTube, make_tube
 
 BETA1 = 0.9
@@ -114,10 +114,11 @@ def tube_loss(support_img: Tensor, support_mask: Tensor, tube: MaskTube,
               params: ModelParams, pcfg: PipelineConfig, encoder: StubEncoder) -> Tensor:
     """Mean over the tube's frames of the combined loss of decoding each
     frame with the prompts generated on frame 0. The frames run as one
-    stack, and the prompts are shared by all of them."""
-    prompts, _ = generate_prompts(encoder.encode(support_img), encoder.encode(tube.frames[0]),
-                                  downsample_mask(support_mask, encoder.stride), params, pcfg)
+    stack, frame 0's maps come from it, and the prompts are shared by all
+    of them."""
     frames = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
+    prompts, _ = generate_prompts(encoder.encode(support_img), frames.at(0),
+                                  downsample_mask(support_mask, encoder.stride), params, pcfg)
     masks = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), encoder.stride)
     probs = decode(prompts.pos, prompts.neg, frames.sam, pcfg.decoder_config())
     return _mean_loss(probs, masks)
@@ -293,8 +294,12 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
     step = None
     for line in opt_path.read_text().splitlines():
         line = line.strip()
-        if line.startswith("step"):
-            step = int(line.split("=", 1)[1])
+        if not line or line.startswith("#"):
+            continue
+        field = int_field(line)
+        if field is None or field[0] != "step" or step is not None:
+            raise IoError(f"{opt_path}: expected one 'step = <integer>' line, got {line!r}")
+        step = field[1]
     if step is None:
         raise CheckpointMissing(f"{opt_path} does not record a step count")
     template = init_params(cfg.pipeline_config(), seed=0)

@@ -1,9 +1,12 @@
-"""Small shared helpers: atomic writes."""
+"""Small shared helpers: atomic writes and ``key = integer`` metadata lines."""
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from pathlib import Path
+
+_INT_FIELD = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -23,3 +26,10 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def int_field(line: str) -> tuple[str, int] | None:
+    """Key and value of a stripped ``key = integer`` line, or None when the
+    line has any other form."""
+    m = _INT_FIELD.match(line)
+    return None if m is None else (m.group(1), int(m.group(2)))

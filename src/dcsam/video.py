@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderMaps, StubEncoder
+from .encoder import StubEncoder
 from .episodes import Episode, grid
 from . import dcst
 from .errors import FrameCountMismatch, IoError, ShapeMismatch
@@ -35,7 +35,7 @@ from .pipeline import ModelParams, PipelineConfig, downsample_mask, generate_pro
 from .decoder import decode
 from .seeding import rng_for, tag
 from .tensor import Tensor, binarize
-from .util import atomic_write_text
+from .util import atomic_write_text, int_field
 
 IDENTITY_SCALE = 1.0
 MAX_TRANSLATION_STEP = 2
@@ -177,8 +177,7 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
         chunk = tube.frames[start:start + FRAME_CHUNK]
         maps = encoder.encode(Tensor(np.stack([f.data for f in chunk])), batched=True)
         if prompts is None:
-            first = EncoderMaps(*(Tensor(m.data[0]) for m in (maps.mid, maps.high, maps.sam)))
-            prompts, _ = generate_prompts(enc_s, first, mask_feat, params, cfg)
+            prompts, _ = generate_prompts(enc_s, maps.at(0), mask_feat, params, cfg)
         probs = decode(prompts.pos, prompts.neg, maps.sam, dec_cfg)
         predicted.extend(Tensor(m) for m in binarize(upsample_map(probs, encoder.stride)).data)
     return MaskTube(frames=tube.frames, masks=tuple(predicted), transforms=tube.transforms,
@@ -187,7 +186,6 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
 
 # On-disk tube layout: frames/frame_%04d.dcst, masks/mask_%04d.dcst, meta.txt.
 
-_META_INT = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
 _META_TRANSFORM = re.compile(
     r"^(\d+)\s+(-?\d+)\s+(-?\d+)\s+([01])\s+(-?\d+(?:\.\d+)?)$")
 
@@ -216,9 +214,9 @@ def load_tube(directory: str | Path) -> MaskTube:
     fields: dict[str, int] = {}
     transforms: dict[int, TransformSpec] = {}
     for line in lines:
-        m = _META_INT.match(line)
-        if m:
-            fields[m.group(1)] = int(m.group(2))
+        field = int_field(line)
+        if field is not None:
+            fields[field[0]] = field[1]
             continue
         m = _META_TRANSFORM.match(line)
         if m:

@@ -58,7 +58,7 @@ def test_cycle_bias_hand_case():
     a = np.array([[1.0, 2.0],
                   [0.0, 0.0]])
     mask = np.array([1.0, 0.0])
-    got = cycle_bias(Tensor(a), Tensor(mask)).data
+    got = cycle_bias(Tensor(a), Tensor(mask))
     assert np.isneginf(got[0])
     assert got[1] == 0.0
 
@@ -66,7 +66,7 @@ def test_cycle_bias_hand_case():
 def test_cycle_bias_all_same_label_is_zero(rng):
     a = rng.normal(size=(3, 6))
     for value in (0.0, 1.0):
-        got = cycle_bias(Tensor(a), Tensor(np.full(6, value))).data
+        got = cycle_bias(Tensor(a), Tensor(np.full(6, value)))
         np.testing.assert_array_equal(got, np.zeros(6))
 
 
@@ -76,7 +76,7 @@ def test_cycle_bias_matches_bruteforce_random(rng):
         hw = int(rng.integers(1, 10))
         a = rng.normal(size=(n, hw))
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).data
+        got = cycle_bias(Tensor(a), Tensor(mask))
         want = cycle_bias_reference(a, mask)
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
         assert (got[~np.isneginf(got)] == 0.0).all()
@@ -88,7 +88,7 @@ def test_cycle_bias_ties_break_to_smallest_index(rng):
         hw = int(rng.integers(1, 8))
         a = rng.integers(-1, 2, size=(n, hw)).astype(float)  # heavy ties
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).data
+        got = cycle_bias(Tensor(a), Tensor(mask))
         want = cycle_bias_reference(a, mask)
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
 
@@ -97,7 +97,7 @@ def test_cycle_bias_constant_affinity():
     # every argmax ties at index 0, so j* = 0 for all columns
     a = np.zeros((2, 4))
     mask = np.array([1.0, 0.0, 1.0, 0.0])
-    got = cycle_bias(Tensor(a), Tensor(mask)).data
+    got = cycle_bias(Tensor(a), Tensor(mask))
     assert got[0] == 0.0 and got[2] == 0.0
     assert np.isneginf(got[1]) and np.isneginf(got[3])
 
@@ -105,8 +105,8 @@ def test_cycle_bias_constant_affinity():
 def test_cycle_bias_scale_invariant_pattern(rng):
     a = rng.normal(size=(3, 7))
     mask = rng.integers(0, 2, size=7).astype(float)
-    base = cycle_bias(Tensor(a), Tensor(mask)).data
-    scaled = cycle_bias(Tensor(a * 3.7), Tensor(mask)).data
+    base = cycle_bias(Tensor(a), Tensor(mask))
+    scaled = cycle_bias(Tensor(a * 3.7), Tensor(mask))
     np.testing.assert_array_equal(np.isneginf(base), np.isneginf(scaled))
 
 
@@ -124,8 +124,12 @@ def test_cycle_bias_is_detached(rng):
     tape = GradTape()
     q = tape.watch(Tensor(rng.normal(size=(2, 3))))
     k = Tensor(rng.normal(size=(5, 3)))
-    bias = cycle_bias(affinity(q, k), Tensor(np.ones(5)))
-    assert bias.tape is None
+    a = affinity(q, k)
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    bias = cycle_bias(a, Tensor(mask))
+    # a constant array off the tape, with the loop reference's 0/-inf pattern
+    assert type(bias) is np.ndarray and bias.dtype == np.float64
+    np.testing.assert_array_equal(bias, cycle_bias_reference(a.data, mask))
 
 
 def test_cross_attention_matches_loop_reference(rng):
@@ -164,13 +168,13 @@ def test_cycle_bias_keeps_at_least_one_column(rng):
         if rng.random() < 0.5:
             a = np.round(a)  # exercise tie handling too
         mask = rng.integers(0, 2, size=hw).astype(float)
-        got = cycle_bias(Tensor(a), Tensor(mask)).data
+        got = cycle_bias(Tensor(a), Tensor(mask))
         assert np.isfinite(got).any()
 
 
 def test_all_masked_bias_raises(rng):
     scores = Tensor(rng.normal(size=(2, 4)))
-    bias = Tensor(np.full(4, -np.inf), neg_inf_ok=True)
+    bias = np.full(4, -np.inf)
     with pytest.raises(AllMasked):
         T.masked_softmax_rows(scores, bias)
 

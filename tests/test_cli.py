@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line entry point, in process."""
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ def test_eval_writes_report(trained, tmp_path):
 def test_eval_missing_checkpoint_exits_three(tmp_path):
     assert main(["eval", "--ckpt", str(tmp_path / "nowhere"), "--fold", "0",
                  "--out", str(tmp_path / "r.csv")]) == 3
+
+
+def test_malformed_optimizer_file_exits_three(trained, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained / "checkpoint", ckpt)
+    bundle = tmp_path / "ep"
+    save_episode(bundle, gen_episode(0, 5, (8, 8)))
+    for argv in (["eval", "--ckpt", str(ckpt), "--fold", "0", "--out", str(tmp_path / "r.csv")],
+                 ["tube", "--ckpt", str(ckpt), "--episode", str(bundle), "--frames", "2",
+                  "--out", str(tmp_path / "t")]):
+        (ckpt / "optimizer.txt").write_text("step = 3\n")
+        assert main(argv) == 0
+        for text in ("step\n", "step = abc\n", "steps = 9\n", "step = 3\nstep = 3\n"):
+            (ckpt / "optimizer.txt").write_text(text)
+            capsys.readouterr()
+            assert main(argv) == 3, text
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and "optimizer.txt" in err[0]
 
 
 def test_tube_outputs(trained, tmp_path):

@@ -43,11 +43,6 @@ def test_quantized_image_values_survive_disk():
     np.testing.assert_array_equal(back.data, grid)
 
 
-def test_rejects_bias_tensor():
-    with pytest.raises(IoError):
-        tensor_bytes(Tensor([0.0, float("-inf")], neg_inf_ok=True))
-
-
 def test_bad_magic():
     with pytest.raises(IoError, match="magic"):
         tensor_from_bytes(b"NOPE" + bytes([1, 0]))

@@ -11,6 +11,7 @@ from dcsam.errors import CheckpointMissing, DivergenceDetected, EmptyReport, IoE
 from dcsam.losses import total_loss
 from dcsam.pipeline import (ModelParams, downsample_mask, generate_prompts, init_params,
                             watch_params)
+from dcsam import tensor as T
 from dcsam.tensor import GradTape, Tensor, grad
 from dcsam.trainer import (
     AdamW,
@@ -116,6 +117,30 @@ def test_tube_loss_is_the_mean_of_frame_losses(stride):
                         downsample_mask(mask, stride)).item()
              for frame, mask in zip(tube.frames, tube.masks)]
     assert abs(got - sum(terms) / len(terms)) <= 1e-12
+
+
+def test_tube_loss_encodes_frame_zero_once(monkeypatch):
+    ep, tube, params, pcfg, encoder = tube_case()
+    calls = []
+    original = type(encoder).encode
+
+    def counting(self, image, batched=False):
+        calls.append(image.shape)
+        return original(self, image, batched)
+
+    monkeypatch.setattr(type(encoder), "encode", counting)
+    got = tube_loss(ep.support_img, ep.support_mask, tube, params, pcfg, encoder).item()
+    monkeypatch.undo()
+    # the support image and the frame stack; frame 0's maps come from the stack
+    assert calls == [(len(tube),) + tube.frames[0].shape, ep.support_img.shape]
+    # exactly the value of prompts from a separate encode of frame 0
+    prompts, _ = generate_prompts(encoder.encode(ep.support_img), encoder.encode(tube.frames[0]),
+                                  downsample_mask(ep.support_mask, 1), params, pcfg)
+    frames = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
+    probs = decode(prompts.pos, prompts.neg, frames.sam, pcfg.decoder_config())
+    target = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), 1)
+    per_frame = total_loss(probs, target, batched=True)
+    assert got == T.scale(T.sum_all(per_frame), 1.0 / len(tube)).item()
 
 
 def test_tube_loss_gradients_match_central_differences():
@@ -257,3 +282,5 @@ def test_checkpoint_optimizer_step_parsed(tmp_path):
     (tmp_path / "ckpt" / "optimizer.txt").write_text("# nothing here\n")
     with pytest.raises(CheckpointMissing):
         load_checkpoint(tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "optimizer.txt").write_text("# saved by hand\n\n  step = 7\n")
+    assert load_checkpoint(tmp_path / "ckpt")[2] == 7
