@@ -28,8 +28,14 @@ def tensor_bytes(t: Tensor) -> bytes:
         raise IoError(f"rank {len(dims)} exceeds the format limit of 255")
     if any(d >= 1 << 32 for d in dims):
         raise IoError(f"dimension too large for uint32: {dims}")
+    with np.errstate(over="ignore"):
+        payload = t.data.astype("<f4")
+    if not np.isfinite(payload).all():
+        # a value beyond float32's range would be written as inf, and the
+        # reader refuses non-finite data: the file could never be loaded
+        raise IoError(f"tensor of shape {dims} has values beyond the float32 range")
     header = MAGIC + bytes([VERSION, len(dims)]) + struct.pack(f"<{len(dims)}I", *dims)
-    return header + t.data.astype("<f4").tobytes(order="C")
+    return header + payload.tobytes(order="C")
 
 
 def write_tensor(path: str | Path, t: Tensor) -> None:

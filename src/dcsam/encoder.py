@@ -7,6 +7,13 @@ random projection of cheap local image statistics, deterministic per
   * ``mid``  - fusion input,
   * ``high`` - drives the prior mask (cosine similarity space),
   * ``sam``  - independent projection, consumed by fusion and the decoder.
+
+The statistics are 15 per pixel: intensity, the 3x3 mean, max, min and
+deviation, the 5x5 and 7x7 means and deviations, the residual from the 3x3
+mean, two gradients, two coordinates and a constant. Windows are shifted
+slices of one edge-padded copy of the image, reduced in place slice by
+slice; ``oracles.descriptors_reference`` keeps the stacked form, and the
+``encoder`` oracle suite holds the two to equal bytes.
 """
 from __future__ import annotations
 
@@ -63,11 +70,16 @@ class StubEncoder:
         if image.ndim != 2 + batched:
             shape = "a stack [B, H, W]" if batched else "a grayscale image [H, W]"
             raise ShapeMismatch(f"encoder expects {shape}, got {image.shape}")
-        lead = image.shape[:-2]
         h, w = image.shape[-2:]
         if h % self.stride or w % self.stride:
             raise ShapeMismatch(f"image {image.shape} is not divisible by stride {self.stride}")
-        desc = _descriptors(image.data)                       # [..., HW, 15]
+        return self.project(_descriptors(image.data), image.shape)
+
+    def project(self, desc: np.ndarray, shape: tuple[int, ...]) -> EncoderMaps:
+        """The three maps of images of ``shape`` ([H, W] or [B, H, W]) from
+        their descriptors [..., HW, 15]."""
+        lead = shape[:-2]
+        h, w = shape[-2:]
         maps = []
         for width, proj in ((self.d_mid, self._w_mid), (self.d_high, self._w_high),
                             (self.d_sam, self._w_sam)):
@@ -80,16 +92,7 @@ class StubEncoder:
         return EncoderMaps(mid=maps[0], high=maps[1], sam=maps[2])
 
 
-def _pad_spatial(img: np.ndarray, radius: int) -> np.ndarray:
-    """Edge-pad the last two axes only."""
-    return np.pad(img, [(0, 0)] * (img.ndim - 2) + [(radius, radius)] * 2, mode="edge")
-
-
-def _window_stack(img: np.ndarray, radius: int) -> np.ndarray:
-    h, w = img.shape[-2:]
-    size = 2 * radius + 1
-    padded = _pad_spatial(img, radius)
-    return np.stack([padded[..., r:r + h, c:c + w] for r in range(size) for c in range(size)])
+_PAD = 3  # the widest window's radius: every window is a set of slices of one pad
 
 
 def _descriptors(img: np.ndarray) -> np.ndarray:
@@ -99,26 +102,69 @@ def _descriptors(img: np.ndarray) -> np.ndarray:
     Intensity and window means separate figure from background; the window
     deviations respond to fill texture (stripes, checkering); gradients mark
     edges; coordinates let projections encode coarse position.
+
+    Every window (radius 1, 2 or 3) is a set of shifted slices of one edge
+    pad, flattened: a shift of (r, c) is an offset of ``r * padded_width +
+    c``, so each slice is contiguous. Positions past an image's right or
+    bottom edge are computed too and dropped at the end. A window's mean
+    and deviation accumulate one slice at a time in (row, column) order,
+    ending with ``/ n``: that is the order and rounding of ``mean`` and
+    ``std`` over a stack of the slices, so the statistics are bit for bit
+    those of ``oracles.descriptors_reference``.
     """
     h, w = img.shape[-2:]
-    near = _window_stack(img, 1)
-    wide = _window_stack(img, 2)
-    wider = _window_stack(img, 3)
-    mean3 = near.mean(axis=0)
-    max3 = near.max(axis=0)
-    min3 = near.min(axis=0)
-    std3 = near.std(axis=0)
-    mean5 = wide.mean(axis=0)
-    std5 = wide.std(axis=0)
-    mean7 = wider.mean(axis=0)
-    std7 = wider.std(axis=0)
-    resid = np.abs(img - mean3)
-    padded = _pad_spatial(img, 1)
-    gx = padded[..., 1:-1, 2:] - padded[..., 1:-1, :-2]
-    gy = padded[..., 2:, 1:-1] - padded[..., :-2, 1:-1]
-    yy, xx = np.meshgrid(np.linspace(0.0, 1.0, h), np.linspace(0.0, 1.0, w), indexing="ij")
-    ones = np.ones_like(img)
-    desc = np.stack([img, mean3, max3, min3, std3, mean5, std5, mean7, std7,
-                     resid, gx, gy, np.broadcast_to(yy, img.shape),
-                     np.broadcast_to(xx, img.shape), ones], axis=-3)
-    return np.swapaxes(desc.reshape(img.shape[:-2] + (_DESC_DIM, h * w)), -1, -2)
+    lead = img.shape[:-2]
+    padded = np.pad(img, [(0, 0)] * len(lead) + [(_PAD, _PAD)] * 2, mode="edge")
+    pw = w + 2 * _PAD
+    flat = padded.reshape(-1)
+    n = flat.size - 2 * _PAD * (pw + 1)  # positions whose widest window fits
+
+    def window(radius):
+        lo = _PAD - radius
+        return [flat[(lo + r) * pw + lo + c:][:n]
+                for r in range(2 * radius + 1) for c in range(2 * radius + 1)]
+
+    def crop(buf):
+        return buf.reshape(padded.shape)[..., :h, :w]
+
+    desc = np.empty(lead + (_DESC_DIM, h, w))
+    value, mean3, max3, min3, std3, mean5, std5, mean7, std7, resid, gx, gy, yy, xx, ones = (
+        desc[..., k, :, :] for k in range(_DESC_DIM))
+    value[...] = img
+    # accumulators span the whole pad so that crop() can view them
+    mean_buf, std_buf = np.empty(flat.size), np.empty(flat.size)
+    mean, std, scratch = mean_buf[:n], std_buf[:n], np.empty(n)
+    for radius, mean_out, std_out in ((1, mean3, std3), (2, mean5, std5), (3, mean7, std7)):
+        views = window(radius)
+        np.copyto(mean, views[0])
+        for v in views[1:]:
+            mean += v
+        mean /= len(views)
+        np.subtract(views[0], mean, out=std)
+        std *= std
+        for v in views[1:]:
+            np.subtract(v, mean, out=scratch)
+            scratch *= scratch
+            std += scratch
+        std /= len(views)
+        np.sqrt(std, out=std)
+        mean_out[...] = crop(mean_buf)
+        std_out[...] = crop(std_buf)
+    near = window(1)  # the same two buffers now hold the running max and min
+    np.copyto(mean, near[0])
+    np.copyto(std, near[0])
+    for v in near[1:]:
+        np.maximum(mean, v, out=mean)
+        np.minimum(std, v, out=std)
+    max3[...] = crop(mean_buf)
+    min3[...] = crop(std_buf)
+    np.subtract(img, mean3, out=resid)
+    np.abs(resid, out=resid)
+    np.subtract(padded[..., _PAD:_PAD + h, _PAD + 1:_PAD + 1 + w],
+                padded[..., _PAD:_PAD + h, _PAD - 1:_PAD - 1 + w], out=gx)
+    np.subtract(padded[..., _PAD + 1:_PAD + 1 + h, _PAD:_PAD + w],
+                padded[..., _PAD - 1:_PAD - 1 + h, _PAD:_PAD + w], out=gy)
+    yy[...], xx[...] = np.meshgrid(np.linspace(0.0, 1.0, h), np.linspace(0.0, 1.0, w),
+                                   indexing="ij")
+    ones[...] = 1.0
+    return np.swapaxes(desc.reshape(lead + (_DESC_DIM, h * w)), -1, -2)

@@ -22,7 +22,7 @@ from . import dcst
 from .errors import IoError, NonDivisibleClassCount, ShapeMismatch, UnknownClass
 from .seeding import rng_for, tag
 from .tensor import Tensor
-from .util import atomic_write_text, int_field
+from .util import atomic_write_text, int_field, store_field
 
 CLASS_COUNT = 16
 FAMILY_COUNT = 8
@@ -266,6 +266,7 @@ def gen_episode(class_id: int, seed: int, canvas: tuple[int, int] = (16, 16)) ->
 # On-disk episode bundles.
 
 _BUNDLE_FILES = ("support.dcst", "support_mask.dcst", "query.dcst", "query_mask.dcst")
+_META_KEYS = ("class_id", "seed")
 
 
 def save_episode(directory: str | Path, ep: Episode) -> list[Path]:
@@ -298,8 +299,8 @@ def load_episode(directory: str | Path) -> Episode:
         field = int_field(line)
         if field is None:
             raise IoError(f"{meta_path}: malformed line {line!r}")
-        fields[field[0]] = field[1]
-    for key in ("class_id", "seed"):
+        store_field(fields, field, _META_KEYS, meta_path)
+    for key in _META_KEYS:
         if key not in fields:
             raise IoError(f"{meta_path}: missing key {key!r}")
     return Episode(support_img=tensors[0], support_mask=tensors[1],

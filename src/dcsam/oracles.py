@@ -16,6 +16,7 @@ from . import tensor as T
 from .attention import cycle_bias
 from .config import TrainConfig
 from .decoder import decode
+from .encoder import StubEncoder
 from .episodes import CLASS_COUNT, gen_episode
 from .losses import total_loss
 from .metrics import boundary_f, iou, jf_score, mask_scores
@@ -328,10 +329,82 @@ def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
     return SuiteResult("tube", trials, failures, tuple(detail))
 
 
+def _window_stack(img: np.ndarray, radius: int) -> np.ndarray:
+    """Every shifted copy of an edge-padded image under a square window,
+    stacked in (row, column) order: [(2r + 1)**2, ..., H, W]."""
+    h, w = img.shape[-2:]
+    size = 2 * radius + 1
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(radius, radius)] * 2, mode="edge")
+    return np.stack([padded[..., r:r + h, c:c + w] for r in range(size) for c in range(size)])
+
+
+def descriptors_reference(img: np.ndarray) -> np.ndarray:
+    """The stub encoder's 15 per-pixel statistics of an image [H, W] ->
+    [HW, 15], or of a stack [B, H, W] -> [B, HW, 15], from stacked windows
+    reduced by ``mean``, ``std``, ``max`` and ``min``."""
+    h, w = img.shape[-2:]
+    near = _window_stack(img, 1)
+    wide = _window_stack(img, 2)
+    wider = _window_stack(img, 3)
+    mean3 = near.mean(axis=0)
+    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(1, 1)] * 2, mode="edge")
+    gx = padded[..., 1:-1, 2:] - padded[..., 1:-1, :-2]
+    gy = padded[..., 2:, 1:-1] - padded[..., :-2, 1:-1]
+    yy, xx = np.meshgrid(np.linspace(0.0, 1.0, h), np.linspace(0.0, 1.0, w), indexing="ij")
+    desc = np.stack([img, mean3, near.max(axis=0), near.min(axis=0), near.std(axis=0),
+                     wide.mean(axis=0), wide.std(axis=0), wider.mean(axis=0), wider.std(axis=0),
+                     np.abs(img - mean3), gx, gy, np.broadcast_to(yy, img.shape),
+                     np.broadcast_to(xx, img.shape), np.ones_like(img)], axis=-3)
+    return np.swapaxes(desc.reshape(img.shape[:-2] + (desc.shape[-3], h * w)), -1, -2)
+
+
+# (height, width), stack size (None: one image [H, W]), stride, image source.
+ENCODER_CASES = tuple(itertools.product(
+    ((8, 8), (12, 12), (16, 16), (32, 32), (16, 24)), (None, 1, 3, 32), (1, 2),
+    ("episode", "uniform")))
+
+
+def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteResult:
+    """``StubEncoder.encode`` against maps projected from the stacked-window
+    reference descriptors.
+
+    Trial t runs case ``ENCODER_CASES[t % len(ENCODER_CASES)]`` with a
+    random encoder seed. Episode images lie on a 1/1024 grid, so their
+    window sums are exact in any order; uniform random images are not, so
+    they also pin the order of every sum. All three maps must have equal
+    bytes.
+    """
+    rng = rng_for(seed, tag("oracle"), 6)
+    failures = 0
+    detail: list[str] = []
+    for t in range(trials):
+        (h, w), count, stride, source = ENCODER_CASES[t % len(ENCODER_CASES)]
+        shape = (h, w) if count is None else (count, h, w)
+        if source == "uniform":
+            img = rng.random(shape)
+        else:
+            eps = [gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
+                               (h, w)) for _ in range(count or 1)]
+            img = np.stack([ep.support_img.data if i % 2 else ep.query_img.data
+                            for i, ep in enumerate(eps)]).reshape(shape)
+        encoder = StubEncoder(int(rng.integers(0, 2**31)), stride=stride)
+        got = encoder.encode(Tensor(img), batched=count is not None)
+        want = encoder.project(descriptors_reference(img), shape)
+        differ = [name for name in ("mid", "high", "sam")
+                  if getattr(got, name).data.tobytes() != getattr(want, name).data.tobytes()]
+        if differ:
+            failures += 1
+            if len(detail) < 5:
+                detail.append(f"trial {t} (shape {shape}, stride {stride}, {source} images): "
+                              f"{', '.join(differ)} maps differ")
+    return SuiteResult("encoder", trials, failures, tuple(detail))
+
+
 SUITES = {
     "cyc": run_cyc_suite,
     "softmax": run_softmax_suite,
     "grad": run_grad_suite,
     "batch": run_batch_suite,
     "tube": run_tube_suite,
+    "encoder": run_encoder_suite,
 }

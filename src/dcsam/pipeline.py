@@ -160,6 +160,28 @@ def mask_average(feat: Tensor, mask: Tensor) -> Tensor:
     return Tensor(pooled)
 
 
+# Query rows per normalisation block of ``max_cosine_map``: at canvas 32
+# a block of 128 rows ran about 2.5x faster than one pass over the whole
+# similarity matrix, and at canvas 16 (256 rows) as fast.
+_COSINE_ROWS = 128
+
+# NumPy advises huge pages (MADV_HUGEPAGE) for every array of 4 MiB or
+# more. Freed into the heap, that range stays advised, and the kernel
+# collapses it into huge pages at some later moment: whatever is placed
+# there next changes speed in the middle of a run. The similarity matrix is
+# the only array that large on the inference path (canvas 32: 1,024 query
+# rows by up to 1,024 support columns), so from that size on it lives in a
+# bytearray, which NumPy does not advise.
+_HUGEPAGE_ADVICE_BYTES = 1 << 22
+
+
+def _similarity_buffer(rows: int, cols: int) -> np.ndarray:
+    nbytes = rows * cols * np.dtype(np.float64).itemsize
+    if nbytes < _HUGEPAGE_ADVICE_BYTES:
+        return np.empty((rows, cols))
+    return np.frombuffer(bytearray(nbytes), dtype=np.float64).reshape(rows, cols)
+
+
 def max_cosine_map(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
     """Per query position, the best cosine similarity to any masked support
     position: [C, H, W] x [C, H, W] x [H, W] -> [H, W], or per episode of a
@@ -186,8 +208,18 @@ def max_cosine_map(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
     best = np.empty(lead + (h * w,))
     for idx in np.ndindex(lead):
         keep = m[idx]
-        sims = (q[idx] @ s[idx][keep].T) / (qn[idx][:, None] * sn[idx][keep][None, :] + 1e-12)
-        best[idx] = sims.max(axis=1)
+        s_keep = s[idx][keep]
+        sims = np.matmul(q[idx], s_keep.T, out=_similarity_buffer(h * w, len(s_keep)))
+        q_norm, s_norm, out = qn[idx], sn[idx][keep], best[idx]
+        # normalise in row blocks that stay in cache, dividing in place:
+        # each entry is still (q . s) / (|q| * |s| + 1e-12)
+        for a in range(0, h * w, _COSINE_ROWS):
+            rows = slice(a, a + _COSINE_ROWS)
+            norm = q_norm[rows, None] * s_norm[None, :]
+            norm += 1e-12
+            block = sims[rows]
+            block /= norm
+            block.max(axis=1, out=out[rows])
     return Tensor(best.reshape(lead + (h, w)))
 
 

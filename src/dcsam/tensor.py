@@ -302,8 +302,10 @@ def _clamp_vjp(g, a, lo, hi):
     return (g * ((a >= lo) & (a <= hi)),)
 
 
-def _logsumexp0_vjp(g, soft):
-    return (soft * g[..., None, :],)
+def _logsumexp0_vjp(g, soft, denom):
+    out = soft / denom
+    out *= g[..., None, :]
+    return (out,)
 
 
 def _masked_softmax_vjp(g, s):
@@ -500,8 +502,8 @@ def logsumexp0(a: Tensor) -> Tensor:
     np.exp(soft, out=soft)
     denom = soft.sum(axis=-2, keepdims=True)
     out = (m + np.log(denom)).squeeze(-2)
-    soft /= denom
-    return _emit(out, (a,), lambda g: _logsumexp0_vjp(g, soft))
+    # the weights are normalised only when a backward pass reads them
+    return _emit(out, (a,), lambda g: _logsumexp0_vjp(g, soft, denom))
 
 
 def masked_softmax_rows(x: Tensor, bias: np.ndarray) -> Tensor:

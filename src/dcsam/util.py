@@ -6,6 +6,8 @@ import re
 import tempfile
 from pathlib import Path
 
+from .errors import IoError
+
 _INT_FIELD = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
 
 
@@ -33,3 +35,15 @@ def int_field(line: str) -> tuple[str, int] | None:
     line has any other form."""
     m = _INT_FIELD.match(line)
     return None if m is None else (m.group(1), int(m.group(2)))
+
+
+def store_field(fields: dict[str, int], field: tuple[str, int], keys: tuple[str, ...],
+                source: Path) -> None:
+    """Record one ``key = integer`` field of a metadata file; a key outside
+    ``keys``, or one already recorded, raises IoError."""
+    key, value = field
+    if key not in keys:
+        raise IoError(f"{source}: unknown key {key!r}")
+    if key in fields:
+        raise IoError(f"{source}: repeated key {key!r}")
+    fields[key] = value

@@ -35,7 +35,7 @@ from .pipeline import ModelParams, PipelineConfig, downsample_mask, generate_pro
 from .decoder import decode
 from .seeding import rng_for, tag
 from .tensor import Tensor, binarize
-from .util import atomic_write_text, int_field
+from .util import atomic_write_text, int_field, store_field
 
 IDENTITY_SCALE = 1.0
 MAX_TRANSLATION_STEP = 2
@@ -102,7 +102,14 @@ class MaskTube:
 
 def warp(array: np.ndarray, spec: TransformSpec, fill: float = 0.0) -> np.ndarray:
     """Nearest-neighbor warp of a 2-D array by (scale, flip, translate)."""
-    h, w = array.shape
+    return _pull(array, _source_map(array.shape, spec), fill)
+
+
+def _source_map(shape: tuple[int, int], spec: TransformSpec):
+    """Where each destination pixel of a warp pulls from: the mask of the
+    destinations whose source lies on the canvas, and those sources' rows
+    and columns."""
+    h, w = shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rr, cc = grid(h, w)
     v = rr - spec.dy
@@ -112,8 +119,13 @@ def warp(array: np.ndarray, spec: TransformSpec, fill: float = 0.0) -> np.ndarra
     src_r = np.floor((v - cy) / spec.scale + cy + 0.5).astype(np.int64)
     src_c = np.floor((u - cx) / spec.scale + cx + 0.5).astype(np.int64)
     inside = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-    out = np.full((h, w), fill, dtype=np.float64)
-    out[inside] = array[src_r[inside], src_c[inside]]
+    return inside, src_r[inside], src_c[inside]
+
+
+def _pull(array: np.ndarray, source_map, fill: float = 0.0) -> np.ndarray:
+    inside, rows, cols = source_map
+    out = np.full(array.shape, fill, dtype=np.float64)
+    out[inside] = array[rows, cols]
     return out
 
 
@@ -147,8 +159,9 @@ def make_tube(ep: Episode, t_frames: int, seed: int, *,
         if len(scale_grid) > 1:
             scale_idx = int(np.clip(scale_idx + rng.integers(-1, 2), 0, len(scale_grid) - 1))
         spec = TransformSpec(dx=dx, dy=dy, flip=flip, scale=scale_grid[scale_idx])
-        frames.append(Tensor(warp(base_img, spec)))
-        masks.append(Tensor(warp(base_mask, spec)))
+        source = _source_map(base_img.shape, spec)
+        frames.append(Tensor(_pull(base_img, source)))
+        masks.append(Tensor(_pull(base_mask, source)))
         transforms.append(spec)
     tube = MaskTube(frames=tuple(frames), masks=tuple(masks), transforms=tuple(transforms),
                     class_id=ep.class_id, seed=int(seed))
@@ -186,6 +199,7 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
 
 # On-disk tube layout: frames/frame_%04d.dcst, masks/mask_%04d.dcst, meta.txt.
 
+_META_KEYS = ("class_id", "seed", "frames")
 _META_TRANSFORM = re.compile(
     r"^(\d+)\s+(-?\d+)\s+(-?\d+)\s+([01])\s+(-?\d+(?:\.\d+)?)$")
 
@@ -216,16 +230,19 @@ def load_tube(directory: str | Path) -> MaskTube:
     for line in lines:
         field = int_field(line)
         if field is not None:
-            fields[field[0]] = field[1]
+            store_field(fields, field, _META_KEYS, meta_path)
             continue
         m = _META_TRANSFORM.match(line)
         if m:
-            transforms[int(m.group(1))] = TransformSpec(
+            index = int(m.group(1))
+            if index in transforms:
+                raise IoError(f"{meta_path}: repeated transform index {index}")
+            transforms[index] = TransformSpec(
                 dx=int(m.group(2)), dy=int(m.group(3)),
                 flip=bool(int(m.group(4))), scale=float(m.group(5)))
             continue
         raise IoError(f"{meta_path}: malformed line {line!r}")
-    for key in ("class_id", "seed", "frames"):
+    for key in _META_KEYS:
         if key not in fields:
             raise IoError(f"{meta_path}: missing key {key!r}")
     count = fields["frames"]

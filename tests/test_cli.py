@@ -160,6 +160,18 @@ def test_malformed_optimizer_file_exits_three(trained, tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and "optimizer.txt" in err[0]
 
+def test_malformed_episode_meta_exits_three(trained, tmp_path, capsys):
+    bundle = tmp_path / "ep"
+    save_episode(bundle, gen_episode(0, 5, (8, 8)))
+    argv = ["tube", "--ckpt", str(trained / "checkpoint"), "--episode", str(bundle),
+            "--frames", "2", "--out", str(tmp_path / "t")]
+    for text in ("class_id = 0\nseed = 5\nseed = 6\n", "class_id = 0\nseed = 5\nsteps = 9\n"):
+        (bundle / "meta.txt").write_text(text)
+        capsys.readouterr()
+        assert main(argv) == 3, text
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "meta.txt" in err[0]
+
 
 def test_tube_outputs(trained, tmp_path):
     bundle = tmp_path / "ep"

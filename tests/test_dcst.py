@@ -89,6 +89,18 @@ def test_non_finite_payload_rejected():
         tensor_from_bytes(raw)
 
 
+def test_refuses_values_beyond_float32_before_writing(tmp_path):
+    path = tmp_path / "big.dcst"
+    with pytest.raises(IoError, match=r"shape \(2,\)"):
+        write_tensor(path, Tensor([1e300, 1.0]))
+    assert list(tmp_path.iterdir()) == []
+    # values inside the float32 range still round-trip to the same bytes
+    t = Tensor(np.array([[3.0e38, -1.5], [0.25, 1e-3]]))
+    write_tensor(path, t)
+    write_tensor(tmp_path / "again.dcst", read_tensor(path))
+    assert path.read_bytes() == (tmp_path / "again.dcst").read_bytes() == tensor_bytes(t)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(IoError, match="cannot read"):
         read_tensor(tmp_path / "absent.dcst")

@@ -149,6 +149,20 @@ def test_load_episode_meta_tolerates_comments(tmp_path):
     assert load_episode(tmp_path / "ep").class_id == 2
 
 
+def test_load_episode_rejects_repeated_and_unknown_keys(tmp_path):
+    ep = gen_episode(2, 5, (8, 8))
+    save_episode(tmp_path / "ep", ep)
+    meta = tmp_path / "ep" / "meta.txt"
+    for text, word in (("class_id = 2\nseed = 5\nseed = 6\n", "repeated key 'seed'"),
+                       ("class_id = 2\nclass_id = 2\nseed = 5\n", "repeated key 'class_id'"),
+                       ("class_id = 2\nseed = 5\nsteps = 9\n", "unknown key 'steps'")):
+        meta.write_text(text)
+        with pytest.raises(IoError, match=word):
+            load_episode(tmp_path / "ep")
+    meta.write_text("class_id = 2\nseed = 5\n")
+    assert load_episode(tmp_path / "ep").seed == 5
+
+
 def test_input_bytes_are_pinned():
     # classes 0-15 x seeds 0-2 x canvases 8, 16, 32, plus one 8-frame tube
     # per canvas: frames, then masks

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcsam import encoder as encoder_module
 from dcsam import tensor as tensor_module
 from dcsam import video as video_module
 from dcsam.tensor import Tensor
@@ -8,7 +9,9 @@ from dcsam.oracles import (
     SUITES,
     SuiteResult,
     cycle_bias_reference,
+    descriptors_reference,
     run_cyc_suite,
+    run_encoder_suite,
     run_grad_suite,
     run_softmax_suite,
     run_tube_suite,
@@ -79,7 +82,7 @@ def test_grad_suite_catches_corrupted_backward(monkeypatch):
 
 
 def test_suites_registry():
-    assert set(SUITES) == {"cyc", "softmax", "grad", "batch", "tube"}
+    assert set(SUITES) == {"cyc", "softmax", "grad", "batch", "tube", "encoder"}
     for fn in SUITES.values():
         assert callable(fn)
 
@@ -95,3 +98,28 @@ def test_tube_suite_passes_and_catches_misordered_frames(monkeypatch):
     result = run_tube_suite(trials=12, seed=0)
     assert not result.passed
     assert any("predicted masks differ" in line for line in result.detail)
+
+
+def test_descriptors_reference_hand_values():
+    img = np.arange(12.0).reshape(3, 4)
+    desc = descriptors_reference(img).reshape(3, 4, 15)
+    assert desc[1, 1, 0] == 5.0                                   # intensity
+    assert desc[1, 1, 1] == img[:3, :3].mean()                    # 3x3 mean
+    assert (desc[1, 1, 2], desc[1, 1, 3]) == (10.0, 0.0)          # 3x3 max, min
+    assert desc[1, 1, 10] == 2.0 and desc[1, 1, 11] == 8.0        # gradients
+    assert (desc[..., 14] == 1.0).all()
+
+
+def test_encoder_suite_passes_and_catches_a_perturbed_deviation(monkeypatch):
+    assert run_encoder_suite(trials=16, seed=3).passed
+    original = encoder_module._descriptors
+
+    def nudged(img):
+        desc = original(img).copy()
+        desc[..., 0, 8] += 1e-9                                   # std7 of pixel 0
+        return desc
+
+    monkeypatch.setattr(encoder_module, "_descriptors", nudged)
+    result = run_encoder_suite(trials=16, seed=3)
+    assert result.failures == 16
+    assert "maps differ" in result.detail[0]

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,58 @@ def test_max_cosine_map_empty_mask_raises(rng):
     f = Tensor(rng.normal(size=(2, 3, 3)))
     with pytest.raises(EmptySupportMask):
         max_cosine_map(f, f, Tensor(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize("lead", [(), (5,)])
+@pytest.mark.parametrize("c, h, w, frac", [(4, 6, 5, 0.3), (6, 32, 32, 0.7)])
+def test_max_cosine_map_is_the_plain_expression_bit_for_bit(rng, lead, c, h, w, frac):
+    # At canvas 32 with 70% of the support masked, the similarity matrix is
+    # past 4 MiB, the size from which it is held in a bytearray.
+    f_q = rng.normal(size=lead + (c, h, w))
+    f_s = rng.normal(size=lead + (c, h, w))
+    mask = (rng.random(lead + (h, w)) < frac).astype(float)
+    mask[..., 0, 0] = 1.0
+    got = max_cosine_map(Tensor(f_q), Tensor(f_s), Tensor(mask)).data
+    want = np.empty(lead + (h, w))
+    for idx in np.ndindex(lead):
+        q = f_q[idx].reshape(c, -1).T
+        s = f_s[idx].reshape(c, -1).T[mask[idx].reshape(-1) == 1.0]
+        qn, sn = np.linalg.norm(q, axis=-1), np.linalg.norm(s, axis=-1)
+        want[idx] = ((q @ s.T) / (qn[:, None] * sn[None, :] + 1e-12)).max(axis=1).reshape(h, w)
+    assert got.tobytes() == want.tobytes()
+
+
+# Counts the mappings NumPy advised for huge pages after three similarity
+# matrices of 8 MiB, then after three plain NumPy arrays of that size.
+HUGE_PAGE_PROBE = """
+import numpy as np
+from dcsam.pipeline import max_cosine_map
+from dcsam.tensor import Tensor
+
+def advised():
+    with open("/proc/self/smaps") as f:
+        return sum(line.startswith("VmFlags:") and " hg" in line for line in f)
+
+rng = np.random.default_rng(0)
+f_q, f_s = Tensor(rng.normal(size=(6, 32, 32))), Tensor(rng.normal(size=(6, 32, 32)))
+for _ in range(3):
+    max_cosine_map(f_q, f_s, Tensor(np.ones((32, 32))))
+after_map = advised()
+for _ in range(3):
+    np.ones((1024, 1024)).sum()
+print(after_map, advised())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="needs /proc/self/smaps")
+def test_max_cosine_map_leaves_no_huge_page_advice_in_the_heap():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", HUGE_PAGE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    after_map, after_plain = map(int, proc.stdout.split())
+    if after_plain == 0:
+        pytest.skip("NumPy does not advise huge pages on this system")
+    assert after_map == 0
 
 
 def test_prior_mask_normalized(rng):

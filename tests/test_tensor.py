@@ -177,6 +177,22 @@ def test_logsumexp0_matches_reference_and_is_stable(rng):
     assert big[0] == pytest.approx(1000.0 + math.log(2.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (4, 6, 7)])
+def test_logsumexp0_is_the_same_on_and_off_the_tape(rng, shape):
+    a = rng.normal(size=shape) * 4.0
+    g = rng.normal(size=shape[:-2] + shape[-1:])
+    off = T.logsumexp0(Tensor(a))
+    tape = GradTape()
+    x = tape.watch(Tensor(a))
+    on = T.logsumexp0(x)
+    assert on.data.tobytes() == off.data.tobytes()
+    # the adjoint reaching logsumexp0 is g exactly, so the gradient is its VJP
+    grads = grad(tape, T.sum_all(T.mul(on, Tensor(g))))
+    soft = np.exp(a - a.max(axis=-2, keepdims=True))
+    denom = soft.sum(axis=-2, keepdims=True)
+    assert grads[x].data.tobytes() == ((soft / denom) * g[..., None, :]).tobytes()
+
+
 def test_conv1x1_matches_matmul_oracle(rng):
     x = rng.normal(size=(5, 3, 4))
     w = rng.normal(size=(2, 5))

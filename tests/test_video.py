@@ -84,6 +84,18 @@ def test_make_tube_deterministic():
         assert np.array_equal(fa.data, fb.data)
 
 
+def test_make_tube_equals_warping_image_and_mask_separately():
+    ep = gen_episode(5, 12, (16, 16))
+    seen = set()
+    for seed in range(12):
+        tube = make_tube(ep, 16, seed, scale_grid=(0.8, 0.9, 1.0, 1.1, 1.25))
+        for frame, mask, spec in zip(tube.frames, tube.masks, tube.transforms):
+            assert frame.data.tobytes() == warp(ep.query_img.data, spec).tobytes()
+            assert mask.data.tobytes() == warp(ep.query_mask.data, spec).tobytes()
+            seen.add((spec.flip, spec.scale))
+    assert seen == {(flip, s) for flip in (False, True) for s in (0.8, 0.9, 1.0, 1.1, 1.25)}
+
+
 def test_make_tube_translation_only_option():
     ep = gen_episode(1, 4, (16, 16))
     tube = make_tube(ep, 8, seed=7, scale_grid=(1.0,), allow_flip=False)
@@ -154,6 +166,21 @@ def test_load_tube_incomplete_transform_log(tmp_path):
     meta.write_text("\n".join(lines) + "\n")
     with pytest.raises(IoError):
         load_tube(tmp_path / "tube")
+
+
+def test_load_tube_rejects_repeated_and_unknown_lines(tmp_path):
+    tube = make_tube(gen_episode(9, 33, (16, 16)), 3, seed=21)
+    save_tube(tmp_path / "tube", tube)
+    meta = tmp_path / "tube" / "meta.txt"
+    good = meta.read_text()
+    for text, word in ((good + "seed = 6\n", "repeated key 'seed'"),
+                       (good + "steps = 9\n", "unknown key 'steps'"),
+                       (good + "1 5 5 0 1.0\n", "repeated transform index 1")):
+        meta.write_text(text)
+        with pytest.raises(IoError, match=word):
+            load_tube(tmp_path / "tube")
+    meta.write_text(good)
+    assert load_tube(tmp_path / "tube").transforms == tube.transforms
 
 
 def test_single_frame_propagation_equals_image_inference():
