@@ -1,4 +1,4 @@
-"""Tensor file format.
+"""Tensor file format and the one bundle writer.
 
 Layout: magic ``DCST``, version byte 0x01, rank byte, little-endian uint32
 dims, then little-endian float32 data in row-major order. Values live as
@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .errors import IoError
 from .tensor import Tensor
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, atomic_write_text
 
 MAGIC = b"DCST"
 VERSION = 1
@@ -44,6 +45,20 @@ def write_tensor(path: str | Path, t: Tensor) -> None:
         atomic_write_bytes(path, tensor_bytes(t))
     except OSError as err:
         raise IoError(f"cannot write {path}: {err}") from err
+
+
+def write_bundle(directory: str | Path, tensors: Mapping[str, Tensor],
+                 texts: Mapping[str, str]) -> list[Path]:
+    """Write a bundle (an episode, a tube or a checkpoint): each tensor, then
+    each text, atomically under its name in ``directory``; a name may include
+    a subdirectory. Returns the written paths in that order."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, t in tensors.items():
+        write_tensor(directory / name, t)
+    for name, text in texts.items():
+        atomic_write_text(directory / name, text)
+    return [directory / name for name in (*tensors, *texts)]
 
 
 def read_tensor(path: str | Path) -> Tensor:

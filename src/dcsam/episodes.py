@@ -22,7 +22,7 @@ from . import dcst
 from .errors import IoError, NonDivisibleClassCount, ShapeMismatch, UnknownClass
 from .seeding import rng_for, tag
 from .tensor import Tensor
-from .util import atomic_write_text, int_field, store_field
+from .util import read_fields
 
 CLASS_COUNT = 16
 FAMILY_COUNT = 8
@@ -270,36 +270,16 @@ _META_KEYS = ("class_id", "seed")
 
 
 def save_episode(directory: str | Path, ep: Episode) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     tensors = (ep.support_img, ep.support_mask, ep.query_img, ep.query_mask)
-    written = []
-    for name, t in zip(_BUNDLE_FILES, tensors):
-        dcst.write_tensor(directory / name, t)
-        written.append(directory / name)
-    meta = directory / "meta.txt"
-    atomic_write_text(meta, f"class_id = {ep.class_id}\nseed = {ep.seed}\n")
-    written.append(meta)
-    return written
+    return dcst.write_bundle(directory, dict(zip(_BUNDLE_FILES, tensors)),
+                             {"meta.txt": f"class_id = {ep.class_id}\nseed = {ep.seed}\n"})
 
 
 def load_episode(directory: str | Path) -> Episode:
     directory = Path(directory)
     tensors = [dcst.read_tensor(directory / name) for name in _BUNDLE_FILES]
     meta_path = directory / "meta.txt"
-    try:
-        lines = meta_path.read_text().splitlines()
-    except OSError as err:
-        raise IoError(f"cannot read {meta_path}: {err}") from err
-    fields: dict[str, int] = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        field = int_field(line)
-        if field is None:
-            raise IoError(f"{meta_path}: malformed line {line!r}")
-        store_field(fields, field, _META_KEYS, meta_path)
+    fields = read_fields(meta_path, _META_KEYS)
     for key in _META_KEYS:
         if key not in fields:
             raise IoError(f"{meta_path}: missing key {key!r}")

@@ -20,7 +20,7 @@ from .pipeline import (ModelParams, PipelineConfig, PromptSet, downsample_mask,
 from .decoder import decode
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, grad
-from .util import atomic_write_text, int_field
+from .util import read_fields
 from .video import MaskTube, make_tube
 
 BETA1 = 0.9
@@ -275,12 +275,9 @@ def grad_check(params: ModelParams, ep: Episode, pcfg: PipelineConfig, encoder: 
 
 def save_checkpoint(directory: str | Path, params: ModelParams, cfg: TrainConfig,
                     step: int) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, t in params.named().items():
-        dcst.write_tensor(directory / f"{name}.dcst", t)
-    atomic_write_text(directory / "optimizer.txt", f"step = {step}\n")
-    atomic_write_text(directory / "config.txt", config_text(cfg))
+    dcst.write_bundle(
+        directory, {f"{name}.dcst": t for name, t in params.named().items()},
+        {"optimizer.txt": f"step = {step}\n", "config.txt": config_text(cfg)})
 
 
 def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, int]:
@@ -290,16 +287,12 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
     for required in (cfg_path, opt_path):
         if not required.exists():
             raise CheckpointMissing(f"{required} is missing")
-    cfg = parse_config_text(cfg_path.read_text())
-    step = None
-    for line in opt_path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        field = int_field(line)
-        if field is None or field[0] != "step" or step is not None:
-            raise IoError(f"{opt_path}: expected one 'step = <integer>' line, got {line!r}")
-        step = field[1]
+    try:
+        cfg_text = cfg_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise IoError(f"cannot read {cfg_path}: {err}") from err
+    cfg = parse_config_text(cfg_text)
+    step = read_fields(opt_path, ("step",)).get("step")
     if step is None:
         raise CheckpointMissing(f"{opt_path} does not record a step count")
     template = init_params(cfg.pipeline_config(), seed=0)

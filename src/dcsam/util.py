@@ -1,10 +1,12 @@
-"""Small shared helpers: atomic writes and ``key = integer`` metadata lines."""
+"""Small shared helpers: atomic writes and the one reader of ``key = integer``
+metadata files (bundle ``meta.txt``, checkpoint ``optimizer.txt``)."""
 from __future__ import annotations
 
 import os
 import re
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from .errors import IoError
 
@@ -30,20 +32,32 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def int_field(line: str) -> tuple[str, int] | None:
-    """Key and value of a stripped ``key = integer`` line, or None when the
-    line has any other form."""
-    m = _INT_FIELD.match(line)
-    return None if m is None else (m.group(1), int(m.group(2)))
-
-
-def store_field(fields: dict[str, int], field: tuple[str, int], keys: tuple[str, ...],
-                source: Path) -> None:
-    """Record one ``key = integer`` field of a metadata file; a key outside
-    ``keys``, or one already recorded, raises IoError."""
-    key, value = field
-    if key not in keys:
-        raise IoError(f"{source}: unknown key {key!r}")
-    if key in fields:
-        raise IoError(f"{source}: repeated key {key!r}")
-    fields[key] = value
+def read_fields(path: str | Path, keys: tuple[str, ...],
+                other: Callable[[str], bool] | None = None) -> dict[str, int]:
+    """The ``key = integer`` fields of a metadata file, skipping blank and ``#``
+    lines. A line of any other form goes to ``other``, which returns whether
+    it took it. An unreadable or undecodable file, a malformed line, a key
+    outside ``keys`` or a repeated key raises IoError naming the file; the
+    caller checks which keys must be present."""
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise IoError(f"cannot read {path}: {err}") from err
+    fields: dict[str, int] = {}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _INT_FIELD.match(line)
+        if m is None:
+            if other is None or not other(line):
+                raise IoError(f"{path}: malformed line {line!r}")
+            continue
+        key = m.group(1)
+        if key not in keys:
+            raise IoError(f"{path}: unknown key {key!r}")
+        if key in fields:
+            raise IoError(f"{path}: repeated key {key!r}")
+        fields[key] = int(m.group(2))
+    return fields

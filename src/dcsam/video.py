@@ -35,7 +35,7 @@ from .pipeline import ModelParams, PipelineConfig, downsample_mask, generate_pro
 from .decoder import decode
 from .seeding import rng_for, tag
 from .tensor import Tensor, binarize
-from .util import atomic_write_text, int_field, store_field
+from .util import read_fields
 
 IDENTITY_SCALE = 1.0
 MAX_TRANSLATION_STEP = 2
@@ -206,54 +206,46 @@ _META_TRANSFORM = re.compile(
 
 def save_tube(directory: str | Path, tube: MaskTube) -> None:
     tube.validate()
-    directory = Path(directory)
-    (directory / "frames").mkdir(parents=True, exist_ok=True)
-    (directory / "masks").mkdir(parents=True, exist_ok=True)
-    for t, (frame, mask) in enumerate(zip(tube.frames, tube.masks)):
-        dcst.write_tensor(directory / "frames" / f"frame_{t:04d}.dcst", frame)
-        dcst.write_tensor(directory / "masks" / f"mask_{t:04d}.dcst", mask)
+    tensors = {f"frames/frame_{t:04d}.dcst": frame for t, frame in enumerate(tube.frames)}
+    tensors.update({f"masks/mask_{t:04d}.dcst": mask for t, mask in enumerate(tube.masks)})
     lines = [f"class_id = {tube.class_id}", f"seed = {tube.seed}", f"frames = {len(tube)}"]
     for t, spec in enumerate(tube.transforms):
         lines.append(f"{t} {spec.dx} {spec.dy} {int(spec.flip)} {spec.scale!r}")
-    atomic_write_text(directory / "meta.txt", "\n".join(lines) + "\n")
+    dcst.write_bundle(directory, tensors, {"meta.txt": "\n".join(lines) + "\n"})
 
 
 def load_tube(directory: str | Path) -> MaskTube:
     directory = Path(directory)
     meta_path = directory / "meta.txt"
-    try:
-        lines = [ln.strip() for ln in meta_path.read_text().splitlines() if ln.strip()]
-    except OSError as err:
-        raise IoError(f"cannot read {meta_path}: {err}") from err
-    fields: dict[str, int] = {}
     transforms: dict[int, TransformSpec] = {}
-    for line in lines:
-        field = int_field(line)
-        if field is not None:
-            store_field(fields, field, _META_KEYS, meta_path)
-            continue
+
+    def transform_line(line: str) -> bool:
         m = _META_TRANSFORM.match(line)
-        if m:
-            index = int(m.group(1))
-            if index in transforms:
-                raise IoError(f"{meta_path}: repeated transform index {index}")
-            transforms[index] = TransformSpec(
-                dx=int(m.group(2)), dy=int(m.group(3)),
-                flip=bool(int(m.group(4))), scale=float(m.group(5)))
-            continue
-        raise IoError(f"{meta_path}: malformed line {line!r}")
+        if m is None:
+            return False
+        index = int(m.group(1))
+        if index in transforms:
+            raise IoError(f"{meta_path}: repeated transform index {index}")
+        transforms[index] = TransformSpec(dx=int(m.group(2)), dy=int(m.group(3)),
+                                          flip=bool(int(m.group(4))), scale=float(m.group(5)))
+        return True
+
+    fields = read_fields(meta_path, _META_KEYS, transform_line)
     for key in _META_KEYS:
         if key not in fields:
             raise IoError(f"{meta_path}: missing key {key!r}")
     count = fields["frames"]
-    if sorted(transforms) != list(range(count)):
+    if count < 1:
+        raise IoError(f"{meta_path}: frame count {count} is below 1")
+    # the log's length bounds the count before a list of that size is built
+    if len(transforms) != count or sorted(transforms) != list(range(count)):
         raise IoError(f"{meta_path}: transform log does not cover frames 0..{count - 1}")
-    frames, masks = [], []
-    for t in range(count):
-        frames.append(dcst.read_tensor(directory / "frames" / f"frame_{t:04d}.dcst"))
-        masks.append(dcst.read_tensor(directory / "masks" / f"mask_{t:04d}.dcst"))
-    tube = MaskTube(frames=tuple(frames), masks=tuple(masks),
-                    transforms=tuple(transforms[t] for t in range(count)),
-                    class_id=fields["class_id"], seed=fields["seed"])
+    tube = MaskTube(
+        frames=tuple(dcst.read_tensor(directory / "frames" / f"frame_{t:04d}.dcst")
+                     for t in range(count)),
+        masks=tuple(dcst.read_tensor(directory / "masks" / f"mask_{t:04d}.dcst")
+                    for t in range(count)),
+        transforms=tuple(transforms[t] for t in range(count)),
+        class_id=fields["class_id"], seed=fields["seed"])
     tube.validate()
     return tube
