@@ -27,7 +27,7 @@ from .metrics import (MetricReport, boundary_f, boundary_pixels, default_boundar
 from .pipeline import (ModelParams, PipelineConfig, PromptSet, generate_prompts,
                        infer_mask, init_params, prior_mask, watch_params)
 from .seeding import derive_seed, episode_seed, rng_for, tag
-from .tensor import GradTape, Tensor, as_tensor, binarize, detach, grad, zeros
+from .tensor import GradTape, Tensor, binarize, detach, grad, zeros
 from .trainer import (AdamW, GradCheckResult, TrainResult, cosine_lr, evaluate,
                       grad_check, load_checkpoint, save_checkpoint, train)
 from .video import MaskTube, TransformSpec, load_tube, make_tube, propagate_first_frame, save_tube, warp
@@ -51,7 +51,7 @@ __all__ = [
     "ModelParams", "PipelineConfig", "PromptSet", "generate_prompts", "infer_mask",
     "init_params", "prior_mask", "watch_params",
     "derive_seed", "episode_seed", "rng_for", "tag",
-    "GradTape", "Tensor", "as_tensor", "binarize", "detach", "grad", "zeros",
+    "GradTape", "Tensor", "binarize", "detach", "grad", "zeros",
     "AdamW", "GradCheckResult", "TrainResult", "cosine_lr", "evaluate", "grad_check",
     "load_checkpoint", "save_checkpoint", "train",
     "MaskTube", "TransformSpec", "load_tube", "make_tube", "propagate_first_frame",

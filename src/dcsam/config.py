@@ -120,8 +120,8 @@ def parse_config_text(text: str) -> TrainConfig:
 
 def load_config(path: str | Path) -> TrainConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read config {path}: {err}") from err
     return parse_config_text(text)
 

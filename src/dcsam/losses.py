@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeMismatch
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
 CLAMP_LO = 1e-7
 CLAMP_HI = 1.0 - 1e-7
@@ -26,7 +26,6 @@ def _check_pair(pred: Tensor, target: Tensor, op: str) -> None:
 
 def bce_loss(pred: Tensor, target: Tensor, batched: bool = False) -> Tensor:
     """Mean binary cross-entropy; predictions are clamped to [1e-7, 1 - 1e-7]."""
-    pred, target = as_tensor(pred), as_tensor(target)
     _check_pair(pred, target, "bce_loss")
     p = T.clamp(pred, CLAMP_LO, CLAMP_HI)
     y = Tensor(target.data)
@@ -40,7 +39,6 @@ def bce_loss(pred: Tensor, target: Tensor, batched: bool = False) -> Tensor:
 
 def dice_loss(pred: Tensor, target: Tensor, batched: bool = False) -> Tensor:
     """Soft Dice: 1 - 2*sum(p*y) / (sum(p^2) + sum(y^2) + eps)."""
-    pred, target = as_tensor(pred), as_tensor(target)
     _check_pair(pred, target, "dice_loss")
     y = Tensor(target.data)
     inter = T.sum_all(T.mul(pred, y), batched)

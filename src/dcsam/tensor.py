@@ -13,8 +13,16 @@ Conventions:
     ``conv1x1``); ``sum_all`` takes ``batched=True``. An unbatched operand of
     a batched op, typically a parameter, is shared by every episode and its
     gradient sums over them,
-  * ops are plain functions: a ``Tensor`` has no arithmetic operators,
-  * every tensor holds finite values. The one place -inf may appear is the
+  * ops are plain functions of Tensors (a raw array is not coerced; wrap
+    outside data in ``Tensor``, which copies and validates it), and a
+    ``Tensor`` has no arithmetic operators,
+  * every tensor holds finite values. ``Tensor(data)`` rejects non-finite
+    data with ValueError. From finite operands only some ops can overflow,
+    and exactly those scan their result and raise FloatingPointError:
+    ``add``, ``sub``, ``mul``, ``div``, ``add_scalar``, ``matmul``,
+    ``add_rowvec``, ``sum_all``, ``exp``, ``conv1x1``,
+    ``masked_softmax_rows``, ``scale`` by a factor above 1 in magnitude, and
+    the gradients ``grad`` returns. The one place -inf may appear is the
     constant bias array of ``masked_softmax_rows``, which masks a position
     out of the softmax; it is a plain NumPy array, never a tensor,
   * argmax-style choices (none live here, see ``attention``) break ties
@@ -31,7 +39,7 @@ import numpy as np
 from .errors import AllMasked, ShapeMismatch, UntrackedLoss
 
 __all__ = [
-    "Tensor", "GradTape", "grad", "as_tensor", "zeros", "detach", "binarize",
+    "Tensor", "GradTape", "grad", "zeros", "detach", "binarize",
     "add", "sub", "mul", "div", "neg", "add_scalar", "scale",
     "matmul", "transpose", "reshape", "concat_channels", "tile_spatial",
     "add_rowvec", "sum_all", "exp", "log", "sigmoid", "clamp",
@@ -49,7 +57,8 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        _validate_values(arr)
+        if not np.isfinite(arr).all():
+            raise ValueError("tensor data must be finite")
         arr.setflags(write=False)
         self.data = arr
         self.tape: GradTape | None = None
@@ -77,27 +86,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tracked})\n{self.data!r}"
 
 
-def _validate_values(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor data must be finite")
+def _finite(arr: np.ndarray, op: str) -> np.ndarray:
+    """The result of an op that can overflow on finite operands, checked.
 
-
-def _wrap(arr: np.ndarray, *, validate: bool = True) -> Tensor:
-    """Adopt an op-owned array without copying.
-
-    Unlike construction from user data, a non-finite value here means an
-    operation's result overflowed, which is a numerical failure rather than
-    a validation one. Ops that only rearrange already validated values pass
-    ``validate=False``.
+    Unlike non-finite user data, a non-finite value here is a numerical
+    failure, not a validation one.
     """
+    if not np.isfinite(arr).all():
+        raise FloatingPointError(f"{op} produced a non-finite value")
+    return arr
+
+
+def _wrap(arr: np.ndarray) -> Tensor:
+    """Adopt an op-owned array without copying or checking it."""
     out = Tensor.__new__(Tensor)
     # asarray keeps rank-0 arrays rank-0 (ascontiguousarray would promote)
     arr = np.asarray(arr, dtype=np.float64, order="C")
-    if validate:
-        try:
-            _validate_values(arr)
-        except ValueError as err:
-            raise FloatingPointError(str(err)) from None
     arr.setflags(write=False)
     out.data = arr
     out.tape = None
@@ -105,24 +109,20 @@ def _wrap(arr: np.ndarray, *, validate: bool = True) -> Tensor:
     return out
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def zeros(shape) -> Tensor:
-    return _wrap(np.zeros(shape), validate=False)
+    return _wrap(np.zeros(shape))
 
 
 def detach(t: Tensor) -> Tensor:
     """Same values, no tape: gradients stop here."""
     if t.tape is None:
         return t
-    return _wrap(t.data, validate=False)
+    return _wrap(t.data)
 
 
 def binarize(t: Tensor, threshold: float = 0.5) -> Tensor:
     """Detached hard threshold: 1.0 where value >= threshold else 0.0."""
-    return _wrap((t.data >= threshold).astype(np.float64), validate=False)
+    return _wrap((t.data >= threshold).astype(np.float64))
 
 
 class GradTape:
@@ -149,8 +149,8 @@ class GradTape:
         self._watched.append(tracked)
         return tracked
 
-    def _adopt(self, arr: np.ndarray, validate: bool = True) -> Tensor:
-        out = _wrap(arr, validate=validate)
+    def _adopt(self, arr: np.ndarray) -> Tensor:
+        out = _wrap(arr)
         out.tape = self
         out.nid = self._next_id
         self._next_id += 1
@@ -188,12 +188,12 @@ def grad(tape: GradTape, loss: Tensor) -> dict[Tensor, Tensor]:
     out: dict[Tensor, Tensor] = {}
     for p in tape._watched:
         g = adjoint.get(p.nid)
-        out[p] = _wrap(np.zeros(p.shape)) if g is None else _wrap(np.array(g, dtype=np.float64))
+        out[p] = _wrap(np.zeros(p.shape) if g is None else _finite(np.array(g, dtype=np.float64), "grad"))
     tape._watched = []
     return out
 
 
-def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, validate: bool = True) -> Tensor:
+def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tensor:
     """Wrap an op result, recording it on the inputs' tape when tracked."""
     tape: GradTape | None = None
     for t in inputs:
@@ -203,8 +203,8 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp, *, validate: bool = T
             elif tape is not t.tape:
                 raise ValueError("operands belong to different tapes")
     if tape is None:
-        return _wrap(data, validate=validate)
-    out = tape._adopt(np.asarray(data, dtype=np.float64, order="C"), validate)
+        return _wrap(data)
+    out = tape._adopt(data)
     tape._records.append((out.nid, tuple(t.nid for t in inputs), vjp))
     return out
 
@@ -334,29 +334,25 @@ def _conv1x1_vjp(g, x, w):
 # Elementwise and structural operations.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _same_shape("add", a, b)
-    return _emit(a.data + b.data, (a, b), lambda g: _add_vjp(g))
+    return _emit(_finite(a.data + b.data, "add"), (a, b), lambda g: _add_vjp(g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _same_shape("sub", a, b)
-    return _emit(a.data - b.data, (a, b), lambda g: _sub_vjp(g))
+    return _emit(_finite(a.data - b.data, "sub"), (a, b), lambda g: _sub_vjp(g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _same_shape("mul", a, b)
     da, db = a.data, b.data
-    return _emit(da * db, (a, b), lambda g: _mul_vjp(g, da, db))
+    return _emit(_finite(da * db, "mul"), (a, b), lambda g: _mul_vjp(g, da, db))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _same_shape("div", a, b)
     da, db = a.data, b.data
-    return _emit(da / db, (a, b), lambda g: _div_vjp(g, da, db))
+    return _emit(_finite(da / db, "div"), (a, b), lambda g: _div_vjp(g, da, db))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -365,20 +361,22 @@ def neg(a: Tensor) -> Tensor:
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _emit(a.data + c, (a,), lambda g: _identity_vjp(g))
+    return _emit(_finite(a.data + c, "add_scalar"), (a,), lambda g: _identity_vjp(g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     if c == 1.0:
         return a    # exact identity: no new values, nothing to record
-    return _emit(a.data * c, (a,), lambda g: _scale_vjp(g, c))
+    out = a.data * c
+    if not abs(c) <= 1.0:   # also true for a NaN factor
+        _finite(out, "scale")
+    return _emit(out, (a,), lambda g: _scale_vjp(g, c))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Strict 2-D matrix product, or a batch of them: a 3-D operand is a
     stack [B, n, k] or [B, k, m], and a 2-D operand is shared by the batch."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim not in (2, 3) or b.ndim not in (2, 3):
         raise ShapeMismatch(f"matmul needs 2-D or batched 3-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -386,7 +384,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"matmul: batch sizes differ ({a.shape} @ {b.shape})")
     da, db = a.data, b.data
-    return _emit(da @ db, (a, b), lambda g: _matmul_vjp(g, da, db))
+    return _emit(_finite(da @ db, "matmul"), (a, b), lambda g: _matmul_vjp(g, da, db))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -394,7 +392,7 @@ def transpose(a: Tensor) -> Tensor:
     if a.ndim not in (2, 3):
         raise ShapeMismatch(f"transpose needs a 2-D or batched 3-D tensor, got {a.shape}")
     return _emit(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,),
-                 lambda g: _transpose_vjp(g), validate=False)
+                 lambda g: _transpose_vjp(g))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -404,8 +402,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeMismatch(f"reshape from {a.shape} to {shape} changes the element count")
     in_shape = a.shape
-    return _emit(a.data.reshape(shape), (a,), lambda g: _reshape_vjp(g, in_shape),
-                 validate=False)
+    return _emit(a.data.reshape(shape), (a,), lambda g: _reshape_vjp(g, in_shape))
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
@@ -413,7 +410,6 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     or [B, C, H, W] per episode); every other dimension must match."""
     if not parts:
         raise ShapeMismatch("concat_channels needs at least one tensor")
-    parts = [as_tensor(p) for p in parts]
     first = parts[0].shape
     if len(first) < 3:
         raise ShapeMismatch(f"concat_channels: {first} has no channel axis")
@@ -422,7 +418,7 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeMismatch(f"concat_channels: other dims differ ({first} vs {p.shape})")
     cuts = np.cumsum([p.shape[-3] for p in parts])[:-1]
     out = np.concatenate([p.data for p in parts], axis=-3)
-    return _emit(out, parts, lambda g: _concat_vjp(g, cuts), validate=False)
+    return _emit(out, parts, lambda g: _concat_vjp(g, cuts))
 
 
 def tile_spatial(v: Tensor, h: int, w: int) -> Tensor:
@@ -431,15 +427,14 @@ def tile_spatial(v: Tensor, h: int, w: int) -> Tensor:
     if v.ndim not in (1, 2):
         raise ShapeMismatch(f"tile_spatial needs a 1-D or batched 2-D tensor, got {v.shape}")
     out = np.broadcast_to(v.data[..., None, None], v.shape + (int(h), int(w))).copy()
-    return _emit(out, (v,), lambda g: _tile_spatial_vjp(g), validate=False)
+    return _emit(out, (v,), lambda g: _tile_spatial_vjp(g))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a vector [c] to every row of a matrix [r, c] or of a batch [B, r, c]."""
-    m, v = as_tensor(m), as_tensor(v)
     if m.ndim not in (2, 3) or v.ndim != 1 or m.shape[-1] != v.shape[0]:
         raise ShapeMismatch(f"add_rowvec: got matrix {m.shape} and vector {v.shape}")
-    return _emit(m.data + v.data, (m, v), lambda g: _add_rowvec_vjp(g))
+    return _emit(_finite(m.data + v.data, "add_rowvec"), (m, v), lambda g: _add_rowvec_vjp(g))
 
 
 def sum_all(a: Tensor, batched: bool = False) -> Tensor:
@@ -451,14 +446,12 @@ def sum_all(a: Tensor, batched: bool = False) -> Tensor:
         out = a.data.reshape(shape[0], -1).sum(axis=1)
     else:
         out = np.asarray(a.data.sum())
-    return _emit(out, (a,), lambda g: _sum_all_vjp(g, shape))
+    return _emit(_finite(out, "sum_all"), (a,), lambda g: _sum_all_vjp(g, shape))
 
 
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    if not np.isfinite(out).all():
-        raise FloatingPointError("exp overflowed to infinity")
+        out = _finite(np.exp(a.data), "exp")
     return _emit(out, (a,), lambda g: _exp_vjp(g, out))
 
 
@@ -485,6 +478,8 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
         raise ShapeMismatch(f"clamp: lo={lo} exceeds hi={hi}")
+    if lo == math.inf or hi == -math.inf:   # the only non-finite results clamp can give
+        raise FloatingPointError(f"clamp: every value would clip to an infinite bound ({lo}, {hi})")
     da = a.data
     return _emit(np.clip(da, lo, hi), (a,), lambda g: _clamp_vjp(g, da, lo, hi))
 
@@ -515,7 +510,6 @@ def masked_softmax_rows(x: Tensor, bias: np.ndarray) -> Tensor:
     [r, c]; bias is [c] or [r, c]. Batched: x is [B, r, c]; bias is one row
     per episode [B, c], or [B, r, c].
     """
-    x = as_tensor(x)
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"masked_softmax_rows needs 2-D or batched 3-D logits, got {x.shape}")
     bias = np.asarray(bias, dtype=np.float64)
@@ -536,7 +530,7 @@ def masked_softmax_rows(x: Tensor, bias: np.ndarray) -> Tensor:
     np.subtract(s, m, out=s)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-    return _emit(s, (x,), lambda g: _masked_softmax_vjp(g, s))
+    return _emit(_finite(s, "masked_softmax_rows"), (x,), lambda g: _masked_softmax_vjp(g, s))
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -545,7 +539,6 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Equivalent to a matrix product over the flattened spatial axis. A
     batched x [B, C_in, H, W] gives [B, C_out, H, W].
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim not in (3, 4) or w.ndim != 2 or b.ndim != 1:
         raise ShapeMismatch(f"conv1x1: expected ranks (3 or 4, 2, 1), got {x.shape}, {w.shape}, {b.shape}")
     if w.shape[1] != x.shape[-3]:
@@ -556,4 +549,4 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     # einsum rather than a matrix product: every episode of a batch then
     # gets exactly the bits it would get alone
     out = np.einsum("oc,...chw->...ohw", dw, dx) + b.data[:, None, None]
-    return _emit(out, (x, w, b), lambda g: _conv1x1_vjp(g, dx, dw))
+    return _emit(_finite(out, "conv1x1"), (x, w, b), lambda g: _conv1x1_vjp(g, dx, dw))

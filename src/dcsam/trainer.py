@@ -12,7 +12,7 @@ from . import tensor as T
 from .config import TrainConfig, config_text, parse_config_text
 from .encoder import EncoderMaps, StubEncoder
 from .episodes import Episode, FoldSplit, gen_episode
-from .errors import CheckpointMissing, DivergenceDetected, EmptyReport, IoError
+from .errors import CheckpointMissing, ConfigError, DivergenceDetected, EmptyReport, IoError
 from .losses import total_loss
 from .metrics import MetricReport, mask_scores
 from .pipeline import (ModelParams, PipelineConfig, PromptSet, downsample_mask,
@@ -291,7 +291,10 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
         cfg_text = cfg_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise IoError(f"cannot read {cfg_path}: {err}") from err
-    cfg = parse_config_text(cfg_text)
+    try:
+        cfg = parse_config_text(cfg_text)
+    except ConfigError as err:
+        raise IoError(f"{cfg_path}: {err}") from err
     step = read_fields(opt_path, ("step",)).get("step")
     if step is None:
         raise CheckpointMissing(f"{opt_path} does not record a step count")

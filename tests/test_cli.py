@@ -117,6 +117,16 @@ def test_train_missing_config_is_io_error(tmp_path):
                  "--fold", "0", "--out", str(tmp_path / "o")]) == 3
 
 
+def test_train_undecodable_config_exits_three_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 1\n\xff\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--fold", "0",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_two(tmp_path):
     cfg = write_cfg(tmp_path, TRAIN_CFG.replace("lr = 0.01", "lr = 1e80"))
@@ -159,6 +169,19 @@ def test_malformed_optimizer_file_exits_three(trained, tmp_path, capsys):
             assert main(argv) == 3, text
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and "optimizer.txt" in err[0]
+
+
+def test_malformed_checkpoint_config_exits_three_naming_the_file(trained, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained / "checkpoint", ckpt)
+    path = ckpt / "config.txt"
+    path.write_text(path.read_text() + "bogus line\n")
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--fold", "0",
+                 "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
 
 def test_malformed_episode_meta_exits_three(trained, tmp_path, capsys):
     bundle = tmp_path / "ep"

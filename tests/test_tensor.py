@@ -155,6 +155,107 @@ def test_exp_log_domain():
         T.log(Tensor([-1.0]))
 
 
+# ------------------------------------------------------------------- overflow
+
+BIG = np.finfo(np.float64).max
+TINY = np.finfo(np.float64).smallest_subnormal
+EXTREMES = np.array([[BIG, -BIG], [TINY, -TINY]])
+
+
+def _grad_overflow():
+    tape = GradTape()
+    p = tape.watch(Tensor([1e-308]))
+    q = Tensor([1e308])
+    # the forward sums two products near 1; the adjoint of p sums two 1e308
+    return grad(tape, T.sum_all(T.add(T.mul(p, q), T.mul(p, q))))
+
+
+OVERFLOWING = {
+    "add": lambda: T.add(Tensor([BIG]), Tensor([BIG])),
+    "sub": lambda: T.sub(Tensor([BIG]), Tensor([-BIG])),
+    "mul": lambda: T.mul(Tensor([1e200]), Tensor([1e200])),
+    "div": lambda: T.div(Tensor([1e300]), Tensor([1e-300])),
+    "add_scalar": lambda: T.add_scalar(Tensor([BIG]), BIG),
+    "scale": lambda: T.scale(Tensor([BIG]), 2.0),
+    "scale-nan": lambda: T.scale(Tensor([1.0]), float("nan")),
+    "scale-inf": lambda: T.scale(Tensor([1.0]), float("inf")),
+    "matmul": lambda: T.matmul(Tensor([[1e200]]), Tensor([[1e200]])),
+    "add_rowvec": lambda: T.add_rowvec(Tensor([[BIG]]), Tensor([BIG])),
+    "sum_all": lambda: T.sum_all(Tensor([BIG, BIG])),
+    "sum_all-batched": lambda: T.sum_all(Tensor([[BIG, BIG]]), batched=True),
+    "exp": lambda: T.exp(Tensor([800.0])),
+    "conv1x1": lambda: T.conv1x1(Tensor(np.full((1, 1, 1), 1e200)), Tensor([[1e200]]),
+                                 Tensor([0.0])),
+    "masked_softmax_rows": lambda: T.masked_softmax_rows(Tensor([[1e308, 0.0]]),
+                                                         np.array([1e308, 0.0])),
+    "grad": _grad_overflow,
+}
+
+# ops whose finite operands always give finite results, on the extremes
+NEVER_OVERFLOWING = {
+    "neg": lambda: T.neg(Tensor(EXTREMES)),
+    "log": lambda: T.log(Tensor([[BIG, TINY], [1.0, TINY]])),
+    "sigmoid": lambda: T.sigmoid(Tensor(EXTREMES)),
+    "clamp": lambda: T.clamp(Tensor(EXTREMES), -1.0, 1.0),
+    "logsumexp0": lambda: T.logsumexp0(Tensor(EXTREMES)),
+    "transpose": lambda: T.transpose(Tensor(EXTREMES)),
+    "reshape": lambda: T.reshape(Tensor(EXTREMES), (4,)),
+    "concat_channels": lambda: T.concat_channels([Tensor(EXTREMES[None])] * 2),
+    "tile_spatial": lambda: T.tile_spatial(Tensor(EXTREMES[0]), 2, 2),
+    "zeros": lambda: T.zeros((2, 2)),
+    "detach": lambda: detach(GradTape().watch(Tensor(EXTREMES))),
+    "binarize": lambda: binarize(Tensor(EXTREMES)),
+    **{f"scale-{c}": (lambda c=c: T.scale(Tensor(EXTREMES), c)) for c in (0.5, -1.0, 0.0, -0.25)},
+}
+
+
+def _count_scans(monkeypatch):
+    scans = []
+    finite = dcsam.tensor._finite
+
+    def counting(arr, op):
+        scans.append(op)
+        return finite(arr, op)
+
+    monkeypatch.setattr(dcsam.tensor, "_finite", counting)
+    return scans
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_scanned_op_raises_on_finite_operands_that_overflow(name, monkeypatch):
+    scans = _count_scans(monkeypatch)
+    with pytest.raises(FloatingPointError):
+        OVERFLOWING[name]()
+    assert scans[-1] == name.split("-")[0]
+
+
+@pytest.mark.parametrize("name", sorted(NEVER_OVERFLOWING))
+def test_unscanned_op_stays_finite_on_extreme_inputs(name, monkeypatch):
+    scans = _count_scans(monkeypatch)
+    out = NEVER_OVERFLOWING[name]()
+    assert np.isfinite(out.data).all()
+    assert scans == []
+
+
+def test_clamp_to_an_infinite_bound_raises():
+    for lo, hi in ((math.inf, math.inf), (-math.inf, -math.inf)):
+        with pytest.raises(FloatingPointError):
+            T.clamp(Tensor([1.0]), lo, hi)
+    np.testing.assert_array_equal(T.clamp(Tensor(EXTREMES), -math.inf, math.inf).data, EXTREMES)
+
+
+def test_matmul_overflow_in_one_column_is_caught_with_threaded_blas():
+    # A product this size is split across BLAS threads. An overflow raised in
+    # a worker thread leaves the caller's floating-point flags clean, so
+    # np.errstate trapping can miss it; the explicit scan cannot.
+    n = 512
+    b = np.zeros((n, n))
+    b[:, -1] = 1e308
+    with pytest.raises(FloatingPointError):
+        T.matmul(Tensor(np.ones((n, n))), Tensor(b))
+
+
 def test_sigmoid_stable_extremes():
     out = T.sigmoid(Tensor([-1000.0, 0.0, 1000.0])).data
     assert out[0] == 0.0 and out[2] == 1.0
