@@ -7,6 +7,10 @@ last; the mask covers the target instance only. Foreground area is kept
 inside [2%, 50%] of the canvas and distractors may overlap the target by at
 most 10% of the target's area. Everything is deterministic per
 (class_id, seed, canvas).
+
+A shape is a cached stamp of its own bounding box, placed on the canvas:
+the area test reads the stamp's cached area, the overlap test and the paint
+touch only the box, and the target mask is written once per scene.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 from . import dcst
 from .errors import IoError, NonDivisibleClassCount, ShapeMismatch, UnknownClass
 from .seeding import rng_for, tag
-from .tensor import Tensor
+from .tensor import Tensor, adopt
 from .util import read_fields
 
 CLASS_COUNT = 16
@@ -100,20 +104,119 @@ def _centered(rng: np.random.Generator, h: int, w: int, ry: int, rx: int) -> tup
     return cy, cx
 
 
+# A stamp is a shape inside its own bounding box: (rows, area, pixels,
+# shape), that is one integer per row (bit j is column j), the True count,
+# the boolean pixels as bytes and the box's (height, width). Stamps depend on
+# shape parameters only, so one cached stamp serves every position; each is
+# what a raster of the whole canvas holds inside the box, and nothing of that
+# raster lies outside it (``oracles.run_episodes_suite`` holds the two to
+# equal bytes). A stamp is built of Python objects, not arrays: filling the
+# cache mid-run then puts nothing long-lived on the C heap between a step's
+# large temporaries, where it would change what the heap can return to the
+# system and so how much memory later steps fault in.
+Stamp = tuple[tuple[int, ...], int, bytes, tuple[int, int]]
+# A footprint is a stamp and the canvas row and column of its box's corner.
+Footprint = tuple[Stamp, int, int]
+
+
+def _stamp_of(pixels: np.ndarray) -> Stamp:
+    rows = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                 for row in pixels)
+    return rows, sum(r.bit_count() for r in rows), pixels.tobytes(), pixels.shape
+
+
+# All 16 classes at 50 seeds on canvases 8, 16 and 32 use about 1,200
+# distinct stamps; the bound keeps memory flat however many canvases a
+# process draws on.
+@functools.lru_cache(maxsize=4096)
+def _stamp(shape: Callable[..., np.ndarray], *params: int) -> Stamp:
+    """The stamp of the pixels ``shape(*params)``, built once."""
+    return _stamp_of(shape(*params))
+
+
+def _pixels(stamp: Stamp) -> np.ndarray:
+    """A stamp's pixels, a read-only view of its bytes."""
+    return np.frombuffer(stamp[2], dtype=bool).reshape(stamp[3])
+
+
+def _place(h: int, w: int, top: int, left: int, shape: Callable[..., np.ndarray],
+           *params: int) -> Footprint:
+    """The cached stamp of ``shape(*params)`` at (top, left), clipped to the
+    canvas.
+
+    Every family keeps its shapes inside canvases of at least MIN_CANVAS, so
+    clipping only guards a future family that does not.
+    """
+    stamp = _stamp(shape, *params)
+    sh, sw = stamp[3]
+    if top < 0 or left < 0 or top + sh > h or left + sw > w:
+        r0, c0 = max(0, -top), max(0, -left)
+        stamp = _stamp_of(_pixels(stamp)[r0:max(r0, min(sh, h - top)),
+                                         c0:max(c0, min(sw, w - left))])
+        top, left = top + r0, left + c0
+    return stamp, top, left
+
+
+def _block_stamp(rows: int, cols: int) -> np.ndarray:
+    return np.ones((rows, cols), dtype=bool)
+
+
+def _disk_stamp(r: int) -> np.ndarray:
+    rr, cc = np.ogrid[:2 * r + 1, :2 * r + 1]
+    return (rr - r) ** 2 + (cc - r) ** 2 <= r * r
+
+
+def _triangle_stamp(s: int, k: int) -> np.ndarray:
+    a, b = np.ogrid[:s, :s]
+    aa = a if k < 2 else s - 1 - a
+    bb = b if k % 2 == 0 else s - 1 - b
+    return aa + bb < s
+
+
+def _ring_stamp(r_out: int) -> np.ndarray:
+    r_in = max(1, int(r_out * 0.5))
+    rr, cc = np.ogrid[:2 * r_out + 1, :2 * r_out + 1]
+    d2 = (rr - r_out) ** 2 + (cc - r_out) ** 2
+    return (d2 <= r_out * r_out) & (d2 > r_in * r_in)
+
+
+def _cross_stamp(a: int, t: int) -> np.ndarray:
+    # the arm half-width t never exceeds the arm length a, so the box is 2a + 1
+    rr, cc = np.ogrid[:2 * a + 1, :2 * a + 1]
+    return (np.abs(rr - a) <= t) | (np.abs(cc - a) <= t)
+
+
+def _lshape_stamp(s1: int, s2: int, t: int, k: int) -> np.ndarray:
+    # the arm thickness t never exceeds s1 or s2, so the box is s1 x s2
+    a, b = np.ogrid[:s1, :s2]
+    if k >= 2:
+        a = (s1 - 1) - a
+    if k % 2 == 1:
+        b = (s2 - 1) - b
+    return (b < t) | (a < t)
+
+
+def _diamond_stamp(r: int) -> np.ndarray:
+    rr, cc = np.ogrid[:2 * r + 1, :2 * r + 1]
+    return np.abs(rr - r) + np.abs(cc - r) <= r
+
+
+def _box(h: int, w: int, cy: int, cx: int, ry: int, rx: int) -> Footprint:
+    return _place(h, w, cy - ry, cx - rx, _block_stamp, 2 * ry + 1, 2 * rx + 1)
+
+
 def _disk(rng, h, w):
     m = min(h, w)
     r = int(rng.integers(max(1, m // 8), max(2, int(m / 3.2)) + 1))
     cy, cx = _centered(rng, h, w, r, r)
-    rr, cc = grid(h, w)
-    return (rr - cy) ** 2 + (cc - cx) ** 2 <= r * r
+    return _place(h, w, cy - r, cx - r, _disk_stamp, r)
 
 
 def _rectangle(rng, h, w):
     hy = int(rng.integers(1, max(2, h // 4) + 1))
     hx = int(rng.integers(1, max(2, w // 4) + 1))
     cy, cx = _centered(rng, h, w, hy, hx)
-    rr, cc = grid(h, w)
-    return (np.abs(rr - cy) <= hy) & (np.abs(cc - cx) <= hx)
+    return _box(h, w, cy, cx, hy, hx)
 
 
 def _triangle(rng, h, w):
@@ -122,22 +225,14 @@ def _triangle(rng, h, w):
     r0 = int(rng.integers(0, h - s + 1))
     c0 = int(rng.integers(0, w - s + 1))
     k = int(rng.integers(0, 4))
-    rr, cc = grid(h, w)
-    a, b = rr - r0, cc - c0
-    box = (a >= 0) & (b >= 0) & (a < s) & (b < s)
-    aa = np.where(k < 2, a, s - 1 - a)
-    bb = np.where(k % 2 == 0, b, s - 1 - b)
-    return box & (aa + bb < s)
+    return _place(h, w, r0, c0, _triangle_stamp, s, k)
 
 
 def _ring(rng, h, w):
     m = min(h, w)
     r_out = int(rng.integers(max(2, m // 5), max(3, int(m / 2.6)) + 1))
-    r_in = max(1, int(r_out * 0.5))
     cy, cx = _centered(rng, h, w, r_out, r_out)
-    rr, cc = grid(h, w)
-    d2 = (rr - cy) ** 2 + (cc - cx) ** 2
-    return (d2 <= r_out * r_out) & (d2 > r_in * r_in)
+    return _place(h, w, cy - r_out, cx - r_out, _ring_stamp, r_out)
 
 
 def _cross(rng, h, w):
@@ -145,25 +240,19 @@ def _cross(rng, h, w):
     a = int(rng.integers(max(2, m // 5), max(3, m // 2 - 1) + 1))
     t = int(rng.integers(0, max(1, m // 10) + 1))
     cy, cx = _centered(rng, h, w, a, a)
-    rr, cc = grid(h, w)
-    dy, dx = np.abs(rr - cy), np.abs(cc - cx)
-    return ((dy <= t) & (dx <= a)) | ((dx <= t) & (dy <= a))
+    return _place(h, w, cy - a, cx - a, _cross_stamp, a, t)
 
 
 def _bar(rng, h, w):
     m = min(h, w)
     t = int(rng.integers(0, max(1, m // 10) + 1))
     if int(rng.integers(0, 2)) == 0:
-        length = int(rng.integers(w // 2, w - 1))
-        half = length // 2
+        half = int(rng.integers(w // 2, w - 1)) // 2
         cy, cx = _centered(rng, h, w, t, half)
-        rr, cc = grid(h, w)
-        return (np.abs(rr - cy) <= t) & (np.abs(cc - cx) <= half)
-    length = int(rng.integers(h // 2, h - 1))
-    half = length // 2
+        return _box(h, w, cy, cx, t, half)
+    half = int(rng.integers(h // 2, h - 1)) // 2
     cy, cx = _centered(rng, h, w, half, t)
-    rr, cc = grid(h, w)
-    return (np.abs(rr - cy) <= half) & (np.abs(cc - cx) <= t)
+    return _box(h, w, cy, cx, half, t)
 
 
 def _lshape(rng, h, w):
@@ -174,23 +263,14 @@ def _lshape(rng, h, w):
     r0 = int(rng.integers(0, h - s1))
     c0 = int(rng.integers(0, w - s2))
     k = int(rng.integers(0, 4))
-    rr, cc = grid(h, w)
-    a, b = rr - r0, cc - c0
-    if k >= 2:
-        a = (s1 - 1) - a
-    if k % 2 == 1:
-        b = (s2 - 1) - b
-    vertical = (a >= 0) & (a < s1) & (b >= 0) & (b < t)
-    horizontal = (a >= 0) & (a < t) & (b >= 0) & (b < s2)
-    return vertical | horizontal
+    return _place(h, w, r0, c0, _lshape_stamp, s1, s2, t, k)
 
 
 def _checkerblob(rng, h, w):
     m = min(h, w)
     r = int(rng.integers(max(1, m // 5), max(2, int(m / 2.4)) + 1))
     cy, cx = _centered(rng, h, w, r, r)
-    rr, cc = grid(h, w)
-    return np.abs(rr - cy) + np.abs(cc - cx) <= r
+    return _place(h, w, cy - r, cx - r, _diamond_stamp, r)
 
 
 _FAMILIES: tuple[Callable, ...] = (
@@ -201,52 +281,79 @@ def _area_bounds(h: int, w: int) -> tuple[int, int]:
     return max(2, int(math.ceil(MIN_AREA_FRAC * h * w))), int(math.floor(MAX_AREA_FRAC * h * w))
 
 
-def _sample_footprint(class_id: int, rng: np.random.Generator, h: int, w: int) -> np.ndarray:
-    lo, hi = _area_bounds(h, w)
+def _sample_footprint(class_id: int, rng: np.random.Generator, h: int, w: int,
+                      lo: int, hi: int) -> Footprint:
     draw = _FAMILIES[class_id // 2]
     for _ in range(200):
         fp = draw(rng, h, w)
-        if lo <= fp.sum() <= hi:
+        if lo <= fp[0][1] <= hi:
             return fp
-    # Degenerate canvas: fall back to a centered block with a legal area.
-    side = max(1, int(math.sqrt(lo)))
-    fp = np.zeros((h, w), dtype=bool)
-    fp[(h - side) // 2:(h - side) // 2 + side, (w - side) // 2:(w - side) // 2 + side] = True
-    return fp
+    # Degenerate canvas: fall back to a centered block of area in [lo, hi],
+    # square where the canvas is tall and wide enough.
+    side = math.isqrt(lo - 1) + 1  # the smallest side whose square reaches lo
+    rows = min(h, side)
+    cols = max(side, -(-lo // rows))
+    return _place(h, w, (h - rows) // 2, (w - cols) // 2, _block_stamp, rows, cols)
 
 
-def _paint(img: np.ndarray, footprint: np.ndarray, class_id: int,
+def _shared_pixels(fp: Footprint, target_rows: list[int]) -> int:
+    """Pixels a footprint shares with the target, given as one integer per
+    canvas row: only the footprint's rows are visited."""
+    stamp, top, left = fp
+    shared = 0
+    for i, bits in enumerate(stamp[0], top):
+        shared += ((bits << left) & target_rows[i]).bit_count()
+    return shared
+
+
+def _paint(img: np.ndarray, footprint: Footprint, class_id: int,
            rng: np.random.Generator) -> None:
-    h, w = img.shape
+    """Fill the footprint's pixels of ``img``. Texture follows canvas
+    coordinates: variant 1 dims the canvas's odd rows, and the checkerblob
+    family dims pixels whose row plus column is odd."""
+    stamp, top, left = footprint
+    pixels = _pixels(stamp)
     base = float(rng.uniform(0.72, 0.95))
-    fill = np.full((h, w), base)
+    view = img[top:top + pixels.shape[0], left:left + pixels.shape[1]]
+    np.copyto(view, base, where=pixels)
     if class_id % 2 == 1:
-        fill[1::2, :] *= 0.62
+        odd = (top + 1) % 2  # the box's first row that is odd on the canvas
+        np.copyto(view[odd::2], base * 0.62, where=pixels[odd::2])
     if class_id // 2 == 7:
-        rr, cc = grid(h, w)
-        fill = np.where((rr + cc) % 2 == 0, fill, fill * 0.8)
-    img[footprint] = fill[footprint]
+        for r0 in (0, 1):  # box rows of each parity, where canvas row + column is odd
+            c0 = (top + left + r0 + 1) % 2
+            cells = view[r0::2, c0::2]
+            np.copyto(cells, cells * 0.8, where=pixels[r0::2, c0::2])
 
 
 def _draw_scene(class_id: int, rng: np.random.Generator, h: int, w: int):
     img = rng.uniform(0.0, 0.25, (h, w))
-    target = _sample_footprint(class_id, rng, h, w)
-    overlap_limit = MAX_OVERLAP_FRAC * target.sum()
+    lo, hi = _area_bounds(h, w)
+    target = _sample_footprint(class_id, rng, h, w, lo, hi)
+    (rows, area, _, _), top, left = target
+    target_rows = [0] * h
+    target_rows[top:top + len(rows)] = [bits << left for bits in rows]
+    overlap_limit = MAX_OVERLAP_FRAC * area
     placed = []
     for _ in range(int(rng.integers(1, 3))):
         other = int(rng.integers(0, CLASS_COUNT - 1))
         if other >= class_id:
             other += 1
         for _attempt in range(50):
-            fp = _sample_footprint(other, rng, h, w)
-            if np.logical_and(fp, target).sum() <= overlap_limit:
+            fp = _sample_footprint(other, rng, h, w, lo, hi)
+            if _shared_pixels(fp, target_rows) <= overlap_limit:
                 placed.append((other, fp))
                 break
     for other, fp in placed:
         _paint(img, fp, other, rng)
     _paint(img, target, class_id, rng)
-    img = np.round(img * _QUANT) / _QUANT
-    return img, target.astype(np.float64)
+    img *= _QUANT
+    np.round(img, out=img)
+    img /= _QUANT
+    pixels = _pixels(target[0])
+    mask = np.zeros((h, w))
+    mask[top:top + pixels.shape[0], left:left + pixels.shape[1]] = pixels
+    return img, mask
 
 
 def gen_episode(class_id: int, seed: int, canvas: tuple[int, int] = (16, 16)) -> Episode:
@@ -258,8 +365,9 @@ def gen_episode(class_id: int, seed: int, canvas: tuple[int, int] = (16, 16)) ->
         raise ShapeMismatch(f"canvas {h}x{w} below the {MIN_CANVAS}x{MIN_CANVAS} minimum")
     s_img, s_mask = _draw_scene(class_id, rng_for(seed, tag("support"), class_id), h, w)
     q_img, q_mask = _draw_scene(class_id, rng_for(seed, tag("query"), class_id), h, w)
-    return Episode(support_img=Tensor(s_img), support_mask=Tensor(s_mask),
-                   query_img=Tensor(q_img), query_mask=Tensor(q_mask),
+    # the scene arrays are fresh and finite by construction
+    return Episode(support_img=adopt(s_img), support_mask=adopt(s_mask),
+                   query_img=adopt(q_img), query_mask=adopt(q_mask),
                    class_id=int(class_id), seed=int(seed))
 
 

@@ -17,7 +17,8 @@ from .attention import cycle_bias
 from .config import TrainConfig
 from .decoder import decode
 from .encoder import StubEncoder
-from .episodes import CLASS_COUNT, gen_episode
+from .episodes import (CLASS_COUNT, MAX_AREA_FRAC, MAX_OVERLAP_FRAC, MIN_AREA_FRAC, Episode,
+                       gen_episode, grid)
 from .losses import total_loss
 from .metrics import boundary_f, iou, jf_score, mask_scores
 from .pipeline import downsample_mask, generate_prompts, init_params, upsample_map, watch_params
@@ -358,6 +359,27 @@ def descriptors_reference(img: np.ndarray) -> np.ndarray:
     return np.swapaxes(desc.reshape(img.shape[:-2] + (desc.shape[-3], h * w)), -1, -2)
 
 
+def project_reference(encoder: StubEncoder, desc: np.ndarray, shape: tuple[int, ...]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The encoder's mid, high and sam maps of images of ``shape`` ([H, W]
+    or [B, H, W]) from their descriptors [..., HW, 15], in plain NumPy: each
+    projection, drawn again from the encoder's seed, is applied as
+    ``tanh(desc @ proj)`` and swapped channel-major; with a stride s, each
+    map is then averaged over the s x s cells of its strided view."""
+    lead = shape[:-2]
+    h, w = shape[-2:]
+    dim = desc.shape[-1]
+    s = encoder.stride
+    maps = []
+    for role, width in enumerate((encoder.d_mid, encoder.d_high, encoder.d_sam)):
+        proj = rng_for(encoder.seed, tag("encoder"), role).normal(size=(dim, width)) / np.sqrt(dim)
+        feat = np.swapaxes(np.tanh(desc @ proj), -1, -2).reshape(lead + (width, h, w))
+        if s > 1:
+            feat = feat.reshape(lead + (width, h // s, s, w // s, s)).mean(axis=(-3, -1))
+        maps.append(feat)
+    return maps[0], maps[1], maps[2]
+
+
 # (height, width), stack size (None: one image [H, W]), stride, image source.
 ENCODER_CASES = tuple(itertools.product(
     ((8, 8), (12, 12), (16, 16), (32, 32), (16, 24)), (None, 1, 3, 32), (1, 2),
@@ -365,8 +387,8 @@ ENCODER_CASES = tuple(itertools.product(
 
 
 def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteResult:
-    """``StubEncoder.encode`` against maps projected from the stacked-window
-    reference descriptors.
+    """``StubEncoder.encode`` against ``project_reference`` of the
+    stacked-window reference descriptors.
 
     Trial t runs case ``ENCODER_CASES[t % len(ENCODER_CASES)]`` with a
     random encoder seed. Episode images lie on a 1/1024 grid, so their
@@ -389,15 +411,226 @@ def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteR
                             for i, ep in enumerate(eps)]).reshape(shape)
         encoder = StubEncoder(int(rng.integers(0, 2**31)), stride=stride)
         got = encoder.encode(Tensor(img), batched=count is not None)
-        want = encoder.project(descriptors_reference(img), shape)
-        differ = [name for name in ("mid", "high", "sam")
-                  if getattr(got, name).data.tobytes() != getattr(want, name).data.tobytes()]
+        want = project_reference(encoder, descriptors_reference(img), shape)
+        differ = [name for name, ref in zip(("mid", "high", "sam"), want)
+                  if getattr(got, name).data.tobytes() != ref.tobytes()]
         if differ:
             failures += 1
             if len(detail) < 5:
                 detail.append(f"trial {t} (shape {shape}, stride {stride}, {source} images): "
                               f"{', '.join(differ)} maps differ")
     return SuiteResult("encoder", trials, failures, tuple(detail))
+
+
+# Reference scenes: every footprint attempt rasterized over the whole canvas,
+# the literal form of what ``episodes`` draws from cached stamps.
+
+def _centered_reference(rng, h, w, ry, rx):
+    cy = int(rng.integers(ry, h - ry)) if h - ry > ry else ry
+    cx = int(rng.integers(rx, w - rx)) if w - rx > rx else rx
+    return cy, cx
+
+
+def _disk_reference(rng, h, w):
+    m = min(h, w)
+    r = int(rng.integers(max(1, m // 8), max(2, int(m / 3.2)) + 1))
+    cy, cx = _centered_reference(rng, h, w, r, r)
+    rr, cc = grid(h, w)
+    return (rr - cy) ** 2 + (cc - cx) ** 2 <= r * r
+
+
+def _rectangle_reference(rng, h, w):
+    hy = int(rng.integers(1, max(2, h // 4) + 1))
+    hx = int(rng.integers(1, max(2, w // 4) + 1))
+    cy, cx = _centered_reference(rng, h, w, hy, hx)
+    rr, cc = grid(h, w)
+    return (np.abs(rr - cy) <= hy) & (np.abs(cc - cx) <= hx)
+
+
+def _triangle_reference(rng, h, w):
+    m = min(h, w)
+    s = int(rng.integers(3, max(4, int(m * 0.66)) + 1))
+    r0 = int(rng.integers(0, h - s + 1))
+    c0 = int(rng.integers(0, w - s + 1))
+    k = int(rng.integers(0, 4))
+    rr, cc = grid(h, w)
+    a, b = rr - r0, cc - c0
+    box = (a >= 0) & (b >= 0) & (a < s) & (b < s)
+    aa = np.where(k < 2, a, s - 1 - a)
+    bb = np.where(k % 2 == 0, b, s - 1 - b)
+    return box & (aa + bb < s)
+
+
+def _ring_reference(rng, h, w):
+    m = min(h, w)
+    r_out = int(rng.integers(max(2, m // 5), max(3, int(m / 2.6)) + 1))
+    r_in = max(1, int(r_out * 0.5))
+    cy, cx = _centered_reference(rng, h, w, r_out, r_out)
+    rr, cc = grid(h, w)
+    d2 = (rr - cy) ** 2 + (cc - cx) ** 2
+    return (d2 <= r_out * r_out) & (d2 > r_in * r_in)
+
+
+def _cross_reference(rng, h, w):
+    m = min(h, w)
+    a = int(rng.integers(max(2, m // 5), max(3, m // 2 - 1) + 1))
+    t = int(rng.integers(0, max(1, m // 10) + 1))
+    cy, cx = _centered_reference(rng, h, w, a, a)
+    rr, cc = grid(h, w)
+    dy, dx = np.abs(rr - cy), np.abs(cc - cx)
+    return ((dy <= t) & (dx <= a)) | ((dx <= t) & (dy <= a))
+
+
+def _bar_reference(rng, h, w):
+    m = min(h, w)
+    t = int(rng.integers(0, max(1, m // 10) + 1))
+    if int(rng.integers(0, 2)) == 0:
+        length = int(rng.integers(w // 2, w - 1))
+        half = length // 2
+        cy, cx = _centered_reference(rng, h, w, t, half)
+        rr, cc = grid(h, w)
+        return (np.abs(rr - cy) <= t) & (np.abs(cc - cx) <= half)
+    length = int(rng.integers(h // 2, h - 1))
+    half = length // 2
+    cy, cx = _centered_reference(rng, h, w, half, t)
+    rr, cc = grid(h, w)
+    return (np.abs(rr - cy) <= half) & (np.abs(cc - cx) <= t)
+
+
+def _lshape_reference(rng, h, w):
+    m = min(h, w)
+    s1 = int(rng.integers(max(2, m // 3), max(3, int(m * 0.6)) + 1))
+    s2 = int(rng.integers(max(2, m // 3), max(3, int(m * 0.6)) + 1))
+    t = int(rng.integers(1, max(2, m // 6) + 1))
+    r0 = int(rng.integers(0, h - s1))
+    c0 = int(rng.integers(0, w - s2))
+    k = int(rng.integers(0, 4))
+    rr, cc = grid(h, w)
+    a, b = rr - r0, cc - c0
+    if k >= 2:
+        a = (s1 - 1) - a
+    if k % 2 == 1:
+        b = (s2 - 1) - b
+    vertical = (a >= 0) & (a < s1) & (b >= 0) & (b < t)
+    horizontal = (a >= 0) & (a < t) & (b >= 0) & (b < s2)
+    return vertical | horizontal
+
+
+def _checkerblob_reference(rng, h, w):
+    m = min(h, w)
+    r = int(rng.integers(max(1, m // 5), max(2, int(m / 2.4)) + 1))
+    cy, cx = _centered_reference(rng, h, w, r, r)
+    rr, cc = grid(h, w)
+    return np.abs(rr - cy) + np.abs(cc - cx) <= r
+
+
+_FAMILY_REFERENCES = (_disk_reference, _rectangle_reference, _triangle_reference,
+                      _ring_reference, _cross_reference, _bar_reference, _lshape_reference,
+                      _checkerblob_reference)
+
+
+def _footprint_reference(class_id, rng, h, w):
+    lo = max(2, int(math.ceil(MIN_AREA_FRAC * h * w)))
+    hi = int(math.floor(MAX_AREA_FRAC * h * w))
+    draw = _FAMILY_REFERENCES[class_id // 2]
+    for _ in range(200):
+        fp = draw(rng, h, w)
+        if lo <= fp.sum() <= hi:
+            return fp
+    side = math.isqrt(lo - 1) + 1
+    rows = min(h, side)
+    cols = max(side, -(-lo // rows))
+    fp = np.zeros((h, w), dtype=bool)
+    fp[(h - rows) // 2:(h - rows) // 2 + rows, (w - cols) // 2:(w - cols) // 2 + cols] = True
+    return fp
+
+
+def _paint_reference(img, footprint, class_id, rng):
+    h, w = img.shape
+    base = float(rng.uniform(0.72, 0.95))
+    fill = np.full((h, w), base)
+    if class_id % 2 == 1:
+        fill[1::2, :] *= 0.62
+    if class_id // 2 == 7:
+        rr, cc = grid(h, w)
+        fill = np.where((rr + cc) % 2 == 0, fill, fill * 0.8)
+    img[footprint] = fill[footprint]
+
+
+def scene_reference(class_id: int, rng: np.random.Generator, h: int, w: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Image and target mask of one scene, every footprint a full-canvas
+    raster: the draws, their order and the arithmetic of ``episodes``."""
+    img = rng.uniform(0.0, 0.25, (h, w))
+    target = _footprint_reference(class_id, rng, h, w)
+    overlap_limit = MAX_OVERLAP_FRAC * target.sum()
+    placed = []
+    for _ in range(int(rng.integers(1, 3))):
+        other = int(rng.integers(0, CLASS_COUNT - 1))
+        if other >= class_id:
+            other += 1
+        for _attempt in range(50):
+            fp = _footprint_reference(other, rng, h, w)
+            if np.logical_and(fp, target).sum() <= overlap_limit:
+                placed.append((other, fp))
+                break
+    for other, fp in placed:
+        _paint_reference(img, fp, other, rng)
+    _paint_reference(img, target, class_id, rng)
+    img = np.round(img * 1024.0) / 1024.0  # the episodes' 1/1024 grid
+    return img, target.astype(np.float64)
+
+
+def episode_reference(class_id: int, seed: int, canvas: tuple[int, int]) -> Episode:
+    """``gen_episode``'s episode, from ``scene_reference``."""
+    h, w = canvas
+    s_img, s_mask = scene_reference(class_id, rng_for(seed, tag("support"), class_id), h, w)
+    q_img, q_mask = scene_reference(class_id, rng_for(seed, tag("query"), class_id), h, w)
+    return Episode(support_img=Tensor(s_img), support_mask=Tensor(s_mask),
+                   query_img=Tensor(q_img), query_mask=Tensor(q_mask),
+                   class_id=class_id, seed=seed)
+
+
+# Canvases of the pinned input digest, odd, non-square and elongated ones.
+EPISODE_CANVASES = ((8, 8), (9, 9), (12, 12), (16, 16), (16, 24), (24, 16), (8, 40), (13, 21),
+                    (32, 32))
+EPISODE_FIELDS = ("support_img", "support_mask", "query_img", "query_mask")
+
+
+def _same_bytes(a: Tensor, b: Tensor) -> bool:
+    return a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+
+
+def run_episodes_suite(trials: int = CLASS_COUNT * len(EPISODE_CANVASES), seed: int = 0
+                       ) -> SuiteResult:
+    """``gen_episode`` against ``episode_reference``, byte for byte.
+
+    Trial t draws class ``t % 16`` at canvas ``EPISODE_CANVASES[t // 16]``
+    (cycling) with a random episode seed, so the default trials cover every
+    class on every canvas. The four arrays must have equal bytes, and so
+    must the frames and masks of an 8-frame tube made from each episode.
+    """
+    rng = rng_for(seed, tag("oracle"), 7)
+    failures = 0
+    detail: list[str] = []
+    for t in range(trials):
+        class_id = t % CLASS_COUNT
+        canvas = EPISODE_CANVASES[(t // CLASS_COUNT) % len(EPISODE_CANVASES)]
+        ep_seed, tube_seed = (int(v) for v in rng.integers(0, 2**31, size=2))
+        got = gen_episode(class_id, ep_seed, canvas)
+        want = episode_reference(class_id, ep_seed, canvas)
+        problems = [name for name in EPISODE_FIELDS
+                    if not _same_bytes(getattr(got, name), getattr(want, name))]
+        got_tube, want_tube = make_tube(got, 8, tube_seed), make_tube(want, 8, tube_seed)
+        if not all(map(_same_bytes, got_tube.frames + got_tube.masks,
+                       want_tube.frames + want_tube.masks)):
+            problems.append("tube")
+        if problems:
+            failures += 1
+            if len(detail) < 5:
+                detail.append(f"trial {t} (class {class_id}, seed {ep_seed}, canvas "
+                              f"{canvas[0]}x{canvas[1]}): {', '.join(problems)} differ")
+    return SuiteResult("episodes", trials, failures, tuple(detail))
 
 
 SUITES = {
@@ -407,4 +640,5 @@ SUITES = {
     "batch": run_batch_suite,
     "tube": run_tube_suite,
     "encoder": run_encoder_suite,
+    "episodes": run_episodes_suite,
 }

@@ -14,7 +14,8 @@ Conventions:
     a batched op, typically a parameter, is shared by every episode and its
     gradient sums over them,
   * ops are plain functions of Tensors (a raw array is not coerced; wrap
-    outside data in ``Tensor``, which copies and validates it), and a
+    outside data in ``Tensor``, which copies and validates it; ``adopt``
+    takes an array built in the package as is), and a
     ``Tensor`` has no arithmetic operators,
   * every tensor holds finite values. ``Tensor(data)`` rejects non-finite
     data with ValueError. From finite operands only some ops can overflow,
@@ -97,8 +98,10 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _wrap(arr: np.ndarray) -> Tensor:
-    """Adopt an op-owned array without copying or checking it."""
+def adopt(arr: np.ndarray) -> Tensor:
+    """A tensor over an array this package built and knows to be finite (an
+    op result, generated episode data), without copying or scanning it. The
+    array becomes read-only; the caller must hold no writable view of it."""
     out = Tensor.__new__(Tensor)
     # asarray keeps rank-0 arrays rank-0 (ascontiguousarray would promote)
     arr = np.asarray(arr, dtype=np.float64, order="C")
@@ -110,19 +113,19 @@ def _wrap(arr: np.ndarray) -> Tensor:
 
 
 def zeros(shape) -> Tensor:
-    return _wrap(np.zeros(shape))
+    return adopt(np.zeros(shape))
 
 
 def detach(t: Tensor) -> Tensor:
     """Same values, no tape: gradients stop here."""
     if t.tape is None:
         return t
-    return _wrap(t.data)
+    return adopt(t.data)
 
 
 def binarize(t: Tensor, threshold: float = 0.5) -> Tensor:
     """Detached hard threshold: 1.0 where value >= threshold else 0.0."""
-    return _wrap((t.data >= threshold).astype(np.float64))
+    return adopt((t.data >= threshold).astype(np.float64))
 
 
 class GradTape:
@@ -150,7 +153,7 @@ class GradTape:
         return tracked
 
     def _adopt(self, arr: np.ndarray) -> Tensor:
-        out = _wrap(arr)
+        out = adopt(arr)
         out.tape = self
         out.nid = self._next_id
         self._next_id += 1
@@ -188,7 +191,7 @@ def grad(tape: GradTape, loss: Tensor) -> dict[Tensor, Tensor]:
     out: dict[Tensor, Tensor] = {}
     for p in tape._watched:
         g = adjoint.get(p.nid)
-        out[p] = _wrap(np.zeros(p.shape) if g is None else _finite(np.array(g, dtype=np.float64), "grad"))
+        out[p] = adopt(np.zeros(p.shape) if g is None else _finite(np.array(g, dtype=np.float64), "grad"))
     tape._watched = []
     return out
 
@@ -203,7 +206,7 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tensor:
             elif tape is not t.tape:
                 raise ValueError("operands belong to different tapes")
     if tape is None:
-        return _wrap(data)
+        return adopt(data)
     out = tape._adopt(data)
     tape._records.append((out.nid, tuple(t.nid for t in inputs), vjp))
     return out

@@ -84,6 +84,16 @@ def test_batch_suite_passes_and_catches_a_wrong_batched_gradient(monkeypatch):
     assert any("grad e_" in line for line in result.detail)
 
 
+def test_stack_episodes_equals_np_stack_and_shares_no_memory():
+    episodes = make_episodes(3)
+    stacked = stack_episodes(episodes)
+    for name, t in zip(("support_img", "support_mask", "query_img", "query_mask"), stacked):
+        parts = [getattr(ep, name).data for ep in episodes]
+        assert t.data.tobytes() == np.stack(parts).tobytes() and t.shape == (3, 8, 8)
+        assert not t.data.flags.writeable
+        assert not any(np.shares_memory(t.data, part) for part in parts)
+
+
 def test_infer_mask_batched_matches_single():
     cfg = TrainConfig(seed=5, canvas=8, stride=2)
     pcfg = cfg.pipeline_config()

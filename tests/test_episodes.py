@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dcsam import episodes
 from dcsam.errors import IoError, NonDivisibleClassCount, ShapeMismatch, UnknownClass
 from dcsam.episodes import (
     CLASS_COUNT,
@@ -186,3 +187,67 @@ def test_grid_is_cached_and_read_only():
     assert np.array_equal(rr, want_rr) and np.array_equal(cc, want_cc)
     with pytest.raises(ValueError):
         rr[0, 0] = 1
+
+
+def row_bits(pixels):
+    return tuple(int(sum(1 << int(j) for j in np.flatnonzero(row))) for row in pixels)
+
+
+def raster(fp, h=16, w=16):
+    stamp, top, left = fp
+    pixels = episodes._pixels(stamp)
+    out = np.zeros((h, w), dtype=bool)
+    out[top:top + pixels.shape[0], left:left + pixels.shape[1]] = pixels
+    return out
+
+
+def test_stamps_are_read_only_cached_and_bounded():
+    rng = np.random.default_rng(0)
+    for family in episodes._FAMILIES:
+        for _ in range(20):
+            stamp, _, _ = fp = family(rng, 16, 16)
+            rows, area, _, _ = stamp
+            pixels = episodes._pixels(stamp)
+            assert not pixels.flags.writeable
+            assert area == np.count_nonzero(pixels) == np.count_nonzero(raster(fp))
+            assert rows == row_bits(pixels)
+    for _ in range(200):
+        a, b = (episodes._FAMILIES[int(rng.integers(0, 8))](rng, 16, 16) for _ in range(2))
+        b_rows = list(row_bits(raster(b)))
+        assert episodes._shared_pixels(a, b_rows) == np.count_nonzero(raster(a) & raster(b))
+    # stamps are keyed by shape parameters, never by position: the cache
+    # holds far fewer entries than the scenes drawn here place footprints
+    episodes._stamp.cache_clear()
+    for canvas in (8, 16, 32):
+        for cls in range(CLASS_COUNT):
+            for seed in range(50):
+                gen_episode(cls, seed, (canvas, canvas))
+    assert episodes._stamp.cache_info().currsize < 2000
+    assert episodes._stamp.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("top,left", [(-2, 5), (3, -4), (6, 6), (-7, 0), (8, 2), (2, 2)])
+def test_placed_stamp_is_clipped_to_the_canvas(top, left):
+    whole = episodes._pixels(episodes._stamp(episodes._disk_stamp, 3))
+    padded = np.zeros((8 + 2 * 7, 8 + 2 * 7), dtype=bool)
+    padded[7 + top:7 + top + 7, 7 + left:7 + left + 7] = whole
+    want = padded[7:15, 7:15]
+    fp = episodes._place(8, 8, top, left, episodes._disk_stamp, 3)
+    assert np.array_equal(raster(fp, 8, 8), want)
+    rows, area, _, _ = fp[0]
+    assert area == np.count_nonzero(want) <= np.count_nonzero(whole)
+    assert rows == row_bits(episodes._pixels(fp[0]))
+
+
+@pytest.mark.parametrize("canvas", [(8, 8), (8, 40), (64, 64)])
+def test_fallback_footprint_area_is_legal(monkeypatch, canvas):
+    # a family whose every draw covers the whole canvas, above the 50% cap,
+    # forces the centered-block fallback for the target
+    def whole_canvas(rng, h, w):
+        return episodes._place(h, w, 0, 0, episodes._block_stamp, h, w)
+
+    monkeypatch.setattr(episodes, "_FAMILIES", (whole_canvas,) * 8)
+    lo, hi = episodes._area_bounds(*canvas)
+    ep = gen_episode(3, 0, canvas)
+    for mask in (ep.support_mask.data, ep.query_mask.data):
+        assert lo <= mask.sum() <= hi, (canvas, mask.sum(), lo, hi)

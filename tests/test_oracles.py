@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dcsam import encoder as encoder_module
+from dcsam import episodes as episodes_module
 from dcsam import tensor as tensor_module
 from dcsam import video as video_module
 from dcsam.tensor import Tensor
@@ -12,6 +15,7 @@ from dcsam.oracles import (
     descriptors_reference,
     run_cyc_suite,
     run_encoder_suite,
+    run_episodes_suite,
     run_grad_suite,
     run_softmax_suite,
     run_tube_suite,
@@ -82,7 +86,7 @@ def test_grad_suite_catches_corrupted_backward(monkeypatch):
 
 
 def test_suites_registry():
-    assert set(SUITES) == {"cyc", "softmax", "grad", "batch", "tube", "encoder"}
+    assert set(SUITES) == {"cyc", "softmax", "grad", "batch", "tube", "encoder", "episodes"}
     for fn in SUITES.values():
         assert callable(fn)
 
@@ -123,3 +127,29 @@ def test_encoder_suite_passes_and_catches_a_perturbed_deviation(monkeypatch):
     result = run_encoder_suite(trials=16, seed=3)
     assert result.failures == 16
     assert "maps differ" in result.detail[0]
+
+
+def test_encoder_suite_checks_the_projection_itself(monkeypatch):
+    original = encoder_module.StubEncoder.project
+
+    def one_ulp_up(self, desc, shape):
+        maps = original(self, desc, shape)
+        return dataclasses.replace(maps, sam=Tensor(np.nextafter(maps.sam.data, np.inf)))
+
+    monkeypatch.setattr(encoder_module.StubEncoder, "project", one_ulp_up)
+    result = run_encoder_suite(trials=8, seed=3)
+    assert result.failures == 8
+    assert "sam maps differ" in result.detail[0]
+
+
+def test_episodes_suite_passes_and_catches_a_short_stamp(monkeypatch):
+    assert run_episodes_suite(trials=32, seed=1).passed
+    original = episodes_module._diamond_stamp
+
+    def one_row_short(r):
+        return original(r)[:-1]                                   # drops the bottom tip
+
+    monkeypatch.setattr(episodes_module, "_diamond_stamp", one_row_short)
+    result = run_episodes_suite(trials=32, seed=1)
+    assert not result.passed
+    assert any("mask" in line for line in result.detail)
