@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .attention import (AttentionBlock, affinity, cross_attention, cycle_bias,
                         cycle_consistent_attention, self_attention)
 from .config import TrainConfig, apply_ablation, config_text, load_config, parse_config_text
-from .decoder import DecoderConfig, decode
+from .decoder import decode
 from .dcst import read_tensor, tensor_bytes, tensor_from_bytes, write_tensor
 from .encoder import EncoderMaps, StubEncoder
 from .episodes import (CLASS_COUNT, Episode, FoldSplit, class_registry, gen_episode,
@@ -37,7 +37,7 @@ __all__ = [
     "AttentionBlock", "affinity", "cross_attention", "cycle_bias",
     "cycle_consistent_attention", "self_attention",
     "TrainConfig", "apply_ablation", "config_text", "load_config", "parse_config_text",
-    "DecoderConfig", "decode",
+    "decode",
     "read_tensor", "tensor_bytes", "tensor_from_bytes", "write_tensor",
     "EncoderMaps", "StubEncoder",
     "CLASS_COUNT", "Episode", "FoldSplit", "class_registry", "gen_episode",

@@ -62,8 +62,14 @@ def write_manifest(path: Path, manifest: RunManifest) -> None:
     atomic_write_text(path, payload + "\n")
 
 
-def _config_snapshot(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
+def _record_run(path: Path, args, argv: list[str], started: str, cfg: TrainConfig | None,
+                *outputs: Path) -> None:
+    """Write a finished run's manifest; a run without a config records seed 0."""
+    write_manifest(path, RunManifest(
+        command=args.command, argv=tuple(argv), seed=0 if cfg is None else cfg.seed,
+        version=_VERSION_TAG, started=started, finished=_utc_now(),
+        config=None if cfg is None else dataclasses.asdict(cfg),
+        outputs=tuple(str(out) for out in outputs)))
 
 
 class _ArgumentError(ValueError):
@@ -120,16 +126,13 @@ def cmd_gen(args, argv: list[str]) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     canvas = (args.size[0], args.size[1])
-    outputs: list[str] = []
+    outputs: list[Path] = []
     for cls in range(args.classes):
         for k in range(args.seeds):
             bundle = out / f"cls{cls:02d}_seed{k:04d}"
             save_episode(bundle, gen_episode(cls, k, canvas))
-            outputs.append(str(bundle))
-    manifest = RunManifest(command="gen", argv=tuple(argv), seed=0,
-                           version=_VERSION_TAG, started=started, finished=_utc_now(),
-                           config=None, outputs=tuple(outputs))
-    write_manifest(out / "manifest.json", manifest)
+            outputs.append(bundle)
+    _record_run(out / "manifest.json", args, argv, started, None, *outputs)
     print(f"wrote {len(outputs)} episode bundles under {out}")
     return 0
 
@@ -149,11 +152,7 @@ def cmd_train(args, argv: list[str]) -> int:
     lines += [f"{i},{value!r}" for i, value in enumerate(result.losses)]
     losses_path = out / "losses.csv"
     atomic_write_text(losses_path, "\n".join(lines) + "\n")
-    manifest = RunManifest(command="train", argv=tuple(argv), seed=cfg.seed,
-                           version=_VERSION_TAG, started=started, finished=_utc_now(),
-                           config=_config_snapshot(cfg),
-                           outputs=(str(ckpt), str(losses_path)))
-    write_manifest(out / "manifest.json", manifest)
+    _record_run(out / "manifest.json", args, argv, started, cfg, ckpt, losses_path)
     print(f"trained fold {args.fold} for {len(result.losses)} steps, "
           f"final loss {result.losses[-1]:.6f}")
     return 0
@@ -166,12 +165,8 @@ def cmd_eval(args, argv: list[str]) -> int:
     report = evaluate(params, cfg, fold)
     out = Path(args.out)
     write_report(out, args.fold, report)
-    sidecar = out.with_suffix(".json")
-    manifest = RunManifest(command="eval", argv=tuple(argv), seed=cfg.seed,
-                           version=_VERSION_TAG, started=started, finished=_utc_now(),
-                           config=_config_snapshot(cfg),
-                           outputs=(str(out), str(sidecar)))
-    write_manifest(out.parent / "manifest.json", manifest)
+    _record_run(out.parent / "manifest.json", args, argv, started, cfg,
+                out, out.with_suffix(".json"))
     print(f"fold {args.fold}: miou={report.miou:.4f} j={report.j:.4f} "
           f"f={report.f:.4f} jf={report.jf:.4f}")
     return 0
@@ -198,11 +193,7 @@ def cmd_tube(args, argv: list[str]) -> int:
     lines.append(f"# summary j={report.j!r} f={report.f!r} jf={report.jf!r}")
     frames_path = out / "frames.csv"
     atomic_write_text(frames_path, "\n".join(lines) + "\n")
-    manifest = RunManifest(command="tube", argv=tuple(argv), seed=cfg.seed,
-                           version=_VERSION_TAG, started=started, finished=_utc_now(),
-                           config=_config_snapshot(cfg),
-                           outputs=(str(pred_dir), str(frames_path)))
-    write_manifest(out / "manifest.json", manifest)
+    _record_run(out / "manifest.json", args, argv, started, cfg, pred_dir, frames_path)
     print(f"tube of {args.frames} frames: j={report.j:.4f} f={report.f:.4f} "
           f"jf={report.jf:.4f}")
     return 0

@@ -8,6 +8,7 @@ snapshot, which parses back to an identical config.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,17 +51,17 @@ class TrainConfig:
     def __post_init__(self):
         checks = (
             # zero freezes the parameters (null update); negative rates are nonsense
-            ("lr", self.lr >= 0.0),
+            ("lr", 0.0 <= self.lr < math.inf),
             ("steps", self.steps >= 1),
             ("batch", self.batch >= 1),
-            ("weight_decay", self.weight_decay >= 0.0),
+            ("weight_decay", 0.0 <= self.weight_decay < math.inf),
             ("canvas", self.canvas >= 8),
             ("embed_dim", self.embed_dim >= 1),
             ("n_queries", self.n_queries >= 1),
             ("mid_channels", self.mid_channels >= 1),
             ("high_channels", self.high_channels >= 1),
             ("stride", self.stride >= 1 and self.canvas % self.stride == 0),
-            ("tau", self.tau > 0.0),
+            ("tau", 0.0 < self.tau < math.inf),
             ("eval_episodes_per_class", self.eval_episodes_per_class >= 1),
             ("tube_steps", self.tube_steps >= 0),
             ("tube_frames", self.tube_frames >= 1),

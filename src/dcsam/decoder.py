@@ -13,20 +13,11 @@ alone, thresholding at zero score.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from . import tensor as T
 from .errors import ShapeMismatch
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ShapeMismatch(f"tau must be positive, got {self.tau}")
 
 
 def _branch_score(prompts: Tensor, flat_feats: Tensor, tau: float) -> Tensor:
@@ -35,11 +26,13 @@ def _branch_score(prompts: Tensor, flat_feats: Tensor, tau: float) -> Tensor:
 
 
 def decode(pos_labeled: Tensor, neg_labeled: Tensor | None, feats: Tensor,
-           cfg: DecoderConfig = DecoderConfig()) -> Tensor:
+           tau: float = 1.0) -> Tensor:
     """Decode labeled prompts against a feature map [d, H, W] into [H, W]
     probabilities, or per episode: [B, N, d] prompts against [B, d, H, W]
     maps into [B, H, W]. Prompts [N, d] against [B, d, H, W] maps are shared
     by every map of the stack, as a 2-D operand is in ``matmul``."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if feats.ndim not in (3, 4):
         raise ShapeMismatch(f"decoder features must be [d, H, W] or [B, d, H, W], got {feats.shape}")
     lead = feats.shape[:-3]
@@ -49,7 +42,7 @@ def decode(pos_labeled: Tensor, neg_labeled: Tensor | None, feats: Tensor,
                                     or prompts.shape[-1] != d):
             raise ShapeMismatch(f"{name} prompts {prompts.shape} do not match features {feats.shape}")
     flat = T.reshape(feats, lead + (d, h * w))
-    logit = _branch_score(pos_labeled, flat, cfg.tau)
+    logit = _branch_score(pos_labeled, flat, tau)
     if neg_labeled is not None:
-        logit = T.sub(logit, _branch_score(neg_labeled, flat, cfg.tau))
+        logit = T.sub(logit, _branch_score(neg_labeled, flat, tau))
     return T.reshape(T.sigmoid(logit), lead + (h, w))

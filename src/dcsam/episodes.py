@@ -29,10 +29,9 @@ from .tensor import Tensor, adopt
 from .util import read_fields
 
 CLASS_COUNT = 16
-FAMILY_COUNT = 8
 MIN_CANVAS = 8
-
-FAMILY_NAMES = ("disk", "rectangle", "triangle", "ring", "cross", "bar", "lshape", "checkerblob")
+# COCO-20^i and PASCAL-5^i both split their classes into four folds.
+FOLD_COUNT = 4
 
 MIN_AREA_FRAC = 0.02
 MAX_AREA_FRAC = 0.5
@@ -60,8 +59,6 @@ class Episode:
 
 @dataclass(frozen=True)
 class FoldSplit:
-    fold_count: int
-    fold_index: int
     train_classes: tuple[int, ...]
     test_classes: tuple[int, ...]
 
@@ -70,21 +67,19 @@ def class_registry() -> tuple[int, ...]:
     return tuple(range(CLASS_COUNT))
 
 
-def split_folds(classes: Sequence[int], fold: int, fold_count: int = 4) -> FoldSplit:
-    """Contiguous class folds: fold k holds classes[k*C/n : (k+1)*C/n] for testing."""
+def split_folds(classes: Sequence[int], fold: int) -> FoldSplit:
+    """Contiguous class folds: of C classes in FOLD_COUNT folds, fold k holds
+    classes[k*C/4 : (k+1)*C/4] for testing."""
     classes = tuple(int(c) for c in classes)
-    if fold_count < 1:
-        raise ValueError(f"fold_count must be positive, got {fold_count}")
-    if len(classes) % fold_count != 0:
+    if len(classes) % FOLD_COUNT != 0:
         raise NonDivisibleClassCount(
-            f"{len(classes)} classes do not split into {fold_count} folds")
-    if not 0 <= fold < fold_count:
-        raise ValueError(f"fold index {fold} outside [0, {fold_count})")
-    per = len(classes) // fold_count
+            f"{len(classes)} classes do not split into {FOLD_COUNT} folds")
+    if not 0 <= fold < FOLD_COUNT:
+        raise ValueError(f"fold index {fold} outside [0, {FOLD_COUNT})")
+    per = len(classes) // FOLD_COUNT
     test = classes[fold * per:(fold + 1) * per]
     train = classes[:fold * per] + classes[(fold + 1) * per:]
-    return FoldSplit(fold_count=fold_count, fold_index=fold,
-                     train_classes=train, test_classes=test)
+    return FoldSplit(train_classes=train, test_classes=test)
 
 
 @functools.cache
@@ -115,14 +110,9 @@ def _centered(rng: np.random.Generator, h: int, w: int, ry: int, rx: int) -> tup
 # large temporaries, where it would change what the heap can return to the
 # system and so how much memory later steps fault in.
 Stamp = tuple[tuple[int, ...], int, bytes, tuple[int, int]]
-# A footprint is a stamp and the canvas row and column of its box's corner.
+# A footprint is a stamp and the canvas row and column of its box's corner;
+# every family and the fallback block keep the box inside the canvas.
 Footprint = tuple[Stamp, int, int]
-
-
-def _stamp_of(pixels: np.ndarray) -> Stamp:
-    rows = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                 for row in pixels)
-    return rows, sum(r.bit_count() for r in rows), pixels.tobytes(), pixels.shape
 
 
 # All 16 classes at 50 seeds on canvases 8, 16 and 32 use about 1,200
@@ -131,30 +121,15 @@ def _stamp_of(pixels: np.ndarray) -> Stamp:
 @functools.lru_cache(maxsize=4096)
 def _stamp(shape: Callable[..., np.ndarray], *params: int) -> Stamp:
     """The stamp of the pixels ``shape(*params)``, built once."""
-    return _stamp_of(shape(*params))
+    pixels = shape(*params)
+    rows = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                 for row in pixels)
+    return rows, sum(r.bit_count() for r in rows), pixels.tobytes(), pixels.shape
 
 
 def _pixels(stamp: Stamp) -> np.ndarray:
     """A stamp's pixels, a read-only view of its bytes."""
     return np.frombuffer(stamp[2], dtype=bool).reshape(stamp[3])
-
-
-def _place(h: int, w: int, top: int, left: int, shape: Callable[..., np.ndarray],
-           *params: int) -> Footprint:
-    """The cached stamp of ``shape(*params)`` at (top, left), clipped to the
-    canvas.
-
-    Every family keeps its shapes inside canvases of at least MIN_CANVAS, so
-    clipping only guards a future family that does not.
-    """
-    stamp = _stamp(shape, *params)
-    sh, sw = stamp[3]
-    if top < 0 or left < 0 or top + sh > h or left + sw > w:
-        r0, c0 = max(0, -top), max(0, -left)
-        stamp = _stamp_of(_pixels(stamp)[r0:max(r0, min(sh, h - top)),
-                                         c0:max(c0, min(sw, w - left))])
-        top, left = top + r0, left + c0
-    return stamp, top, left
 
 
 def _block_stamp(rows: int, cols: int) -> np.ndarray:
@@ -201,22 +176,22 @@ def _diamond_stamp(r: int) -> np.ndarray:
     return np.abs(rr - r) + np.abs(cc - r) <= r
 
 
-def _box(h: int, w: int, cy: int, cx: int, ry: int, rx: int) -> Footprint:
-    return _place(h, w, cy - ry, cx - rx, _block_stamp, 2 * ry + 1, 2 * rx + 1)
+def _box(cy: int, cx: int, ry: int, rx: int) -> Footprint:
+    return _stamp(_block_stamp, 2 * ry + 1, 2 * rx + 1), cy - ry, cx - rx
 
 
 def _disk(rng, h, w):
     m = min(h, w)
     r = int(rng.integers(max(1, m // 8), max(2, int(m / 3.2)) + 1))
     cy, cx = _centered(rng, h, w, r, r)
-    return _place(h, w, cy - r, cx - r, _disk_stamp, r)
+    return _stamp(_disk_stamp, r), cy - r, cx - r
 
 
 def _rectangle(rng, h, w):
     hy = int(rng.integers(1, max(2, h // 4) + 1))
     hx = int(rng.integers(1, max(2, w // 4) + 1))
     cy, cx = _centered(rng, h, w, hy, hx)
-    return _box(h, w, cy, cx, hy, hx)
+    return _box(cy, cx, hy, hx)
 
 
 def _triangle(rng, h, w):
@@ -225,14 +200,14 @@ def _triangle(rng, h, w):
     r0 = int(rng.integers(0, h - s + 1))
     c0 = int(rng.integers(0, w - s + 1))
     k = int(rng.integers(0, 4))
-    return _place(h, w, r0, c0, _triangle_stamp, s, k)
+    return _stamp(_triangle_stamp, s, k), r0, c0
 
 
 def _ring(rng, h, w):
     m = min(h, w)
     r_out = int(rng.integers(max(2, m // 5), max(3, int(m / 2.6)) + 1))
     cy, cx = _centered(rng, h, w, r_out, r_out)
-    return _place(h, w, cy - r_out, cx - r_out, _ring_stamp, r_out)
+    return _stamp(_ring_stamp, r_out), cy - r_out, cx - r_out
 
 
 def _cross(rng, h, w):
@@ -240,7 +215,7 @@ def _cross(rng, h, w):
     a = int(rng.integers(max(2, m // 5), max(3, m // 2 - 1) + 1))
     t = int(rng.integers(0, max(1, m // 10) + 1))
     cy, cx = _centered(rng, h, w, a, a)
-    return _place(h, w, cy - a, cx - a, _cross_stamp, a, t)
+    return _stamp(_cross_stamp, a, t), cy - a, cx - a
 
 
 def _bar(rng, h, w):
@@ -249,10 +224,10 @@ def _bar(rng, h, w):
     if int(rng.integers(0, 2)) == 0:
         half = int(rng.integers(w // 2, w - 1)) // 2
         cy, cx = _centered(rng, h, w, t, half)
-        return _box(h, w, cy, cx, t, half)
+        return _box(cy, cx, t, half)
     half = int(rng.integers(h // 2, h - 1)) // 2
     cy, cx = _centered(rng, h, w, half, t)
-    return _box(h, w, cy, cx, half, t)
+    return _box(cy, cx, half, t)
 
 
 def _lshape(rng, h, w):
@@ -263,14 +238,14 @@ def _lshape(rng, h, w):
     r0 = int(rng.integers(0, h - s1))
     c0 = int(rng.integers(0, w - s2))
     k = int(rng.integers(0, 4))
-    return _place(h, w, r0, c0, _lshape_stamp, s1, s2, t, k)
+    return _stamp(_lshape_stamp, s1, s2, t, k), r0, c0
 
 
 def _checkerblob(rng, h, w):
     m = min(h, w)
     r = int(rng.integers(max(1, m // 5), max(2, int(m / 2.4)) + 1))
     cy, cx = _centered(rng, h, w, r, r)
-    return _place(h, w, cy - r, cx - r, _diamond_stamp, r)
+    return _stamp(_diamond_stamp, r), cy - r, cx - r
 
 
 _FAMILIES: tuple[Callable, ...] = (
@@ -288,12 +263,17 @@ def _sample_footprint(class_id: int, rng: np.random.Generator, h: int, w: int,
         fp = draw(rng, h, w)
         if lo <= fp[0][1] <= hi:
             return fp
-    # Degenerate canvas: fall back to a centered block of area in [lo, hi],
-    # square where the canvas is tall and wide enough.
+    # Degenerate canvas: fall back to a centered block of area in [lo, hi]
+    # inside the canvas, square where the canvas is tall and wide enough;
+    # otherwise it spans the short side and is as long as lo needs.
     side = math.isqrt(lo - 1) + 1  # the smallest side whose square reaches lo
-    rows = min(h, side)
-    cols = max(side, -(-lo // rows))
-    return _place(h, w, (h - rows) // 2, (w - cols) // 2, _block_stamp, rows, cols)
+    if h < side:
+        rows, cols = h, -(-lo // h)
+    elif w < side:
+        rows, cols = -(-lo // w), w
+    else:
+        rows = cols = side
+    return _stamp(_block_stamp, rows, cols), (h - rows) // 2, (w - cols) // 2
 
 
 def _shared_pixels(fp: Footprint, target_rows: list[int]) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -77,7 +77,8 @@ def miou(per_class_iou: Mapping[int, float]) -> float:
 
 
 def default_boundary_tol(shape: tuple[int, int]) -> int:
-    """Chebyshev match tolerance: ceil of 0.8% of the image diagonal."""
+    """Chebyshev match tolerance of boundary F: ceil of 0.8% of the image
+    diagonal, the fixed DAVIS protocol tolerance. It is at least 1."""
     h, w = shape
     return int(math.ceil(0.008 * math.hypot(h, w)))
 
@@ -103,8 +104,6 @@ def boundary_pixels(mask) -> np.ndarray:
 
 def _dilate_chebyshev(b: np.ndarray, tol: int) -> np.ndarray:
     """Dilate over the last two axes by a (2 tol + 1)-square window."""
-    if tol == 0:
-        return b
     h, w = b.shape[-2:]
     out = np.zeros_like(b)
     for dr in range(-tol, tol + 1):
@@ -117,12 +116,9 @@ def _dilate_chebyshev(b: np.ndarray, tol: int) -> np.ndarray:
     return out
 
 
-def _boundary_f_values(p: np.ndarray, g: np.ndarray, tol: int | None, op: str) -> np.ndarray:
+def _boundary_f_values(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Boundary F over the last two axes of boolean masks (see ``boundary_f``)."""
-    if tol is None:
-        tol = default_boundary_tol(p.shape[-2:])
-    if tol < 0:
-        raise ValueError(f"{op}: tolerance must be non-negative, got {tol}")
+    tol = default_boundary_tol(p.shape[-2:])
     pb, gb = _boundary(p), _boundary(g)
     p_count, g_count = pb.sum(axis=(-2, -1)), gb.sum(axis=(-2, -1))
     p_hits = (pb & _dilate_chebyshev(gb, tol)).sum(axis=(-2, -1))
@@ -136,60 +132,53 @@ def _boundary_f_values(p: np.ndarray, g: np.ndarray, tol: int | None, op: str) -
     return np.select([both_free, unmatched], [1.0, 0.0], f)
 
 
-def boundary_f(pred, gt, tol: int | None = None) -> float:
-    """Boundary F-measure with bipartite matching within a Chebyshev tolerance.
+def boundary_f(pred, gt) -> float:
+    """Boundary F-measure with bipartite matching within the Chebyshev
+    tolerance ``default_boundary_tol`` of the mask shape.
 
-    Precision is the fraction of predicted boundary pixels within ``tol`` of
-    the reference boundary; recall is symmetric; F is their harmonic mean.
+    Precision is the fraction of predicted boundary pixels within that tolerance
+    of the reference boundary; recall is symmetric; F is their harmonic mean.
     Two boundary-free masks score 1; exactly one boundary-free mask scores 0.
     """
     p, g = _mask_pairs([pred], [gt], "boundary_f")
-    return float(_boundary_f_values(p, g, tol, "boundary_f")[0])
+    return float(_boundary_f_values(p, g)[0])
 
 
-def mask_scores(preds: Sequence, gts: Sequence, tol: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def mask_scores(preds: Sequence, gts: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """IoU and boundary F of each pair of two equally long sequences of masks
     [H, W] (tube frames, or the episodes of an evaluation chunk), as two
     float arrays [T]. The masks are validated and stacked once and every
     pair is scored in one pass; each value equals ``iou`` / ``boundary_f``
     of its pair."""
     p, g = _mask_pairs(preds, gts, "mask_scores")
-    return _iou_values(p, g), _boundary_f_values(p, g, tol, "mask_scores")
+    return _iou_values(p, g), _boundary_f_values(p, g)
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Evaluation summary.
+    """Evaluation summary: per-class IoU (empty for single-instance tube
+    scoring), J and F; ``miou`` and ``jf`` are derived from them."""
 
-    ``per_class_iou`` may be empty (single-instance tube scoring); when it is
-    non-empty, ``miou`` is its mean. ``jf`` is always the arithmetic mean of
-    ``j`` and ``f``.
-    """
+    per_class_iou: dict[int, float]
+    j: float
+    f: float
 
-    per_class_iou: dict[int, float] = field(default_factory=dict)
-    miou: float = 0.0
-    j: float = 0.0
-    f: float = 0.0
-    jf: float = 0.0
+    @property
+    def miou(self) -> float:
+        """The mean of ``per_class_iou``; a tube has no class map, so J."""
+        return miou(self.per_class_iou) if self.per_class_iou else self.j
 
-    def __post_init__(self):
-        if self.per_class_iou:
-            expect = sum(self.per_class_iou.values()) / len(self.per_class_iou)
-            if abs(self.miou - expect) > 1e-12:
-                raise ValueError("miou must be the mean of per_class_iou")
-        if abs(self.jf - 0.5 * (self.j + self.f)) > 1e-12:
-            raise ValueError("jf must be the mean of j and f")
+    @property
+    def jf(self) -> float:
+        return 0.5 * (self.j + self.f)
 
     @classmethod
     def from_classes(cls, per_class_iou: Mapping[int, float], j: float, f: float) -> "MetricReport":
-        per_class = dict(per_class_iou)
-        return cls(per_class_iou=per_class, miou=miou(per_class), j=j, f=f, jf=0.5 * (j + f))
+        return cls(per_class_iou=dict(per_class_iou), j=j, f=f)
 
     @classmethod
     def from_tube(cls, j: float, f: float) -> "MetricReport":
-        # A tube scores one instance; there is no class map, miou mirrors J.
-        return cls(per_class_iou={}, miou=j, j=j, f=f, jf=0.5 * (j + f))
+        return cls(per_class_iou={}, j=j, f=f)
 
     @classmethod
     def from_frames(cls, js: np.ndarray, fs: np.ndarray) -> "MetricReport":
@@ -197,11 +186,11 @@ class MetricReport:
         return cls.from_tube(j=float(np.mean(js)), f=float(np.mean(fs)))
 
 
-def jf_score(tube_pred, tube_gt, tol: int | None = None) -> MetricReport:
+def jf_score(tube_pred, tube_gt) -> MetricReport:
     """J&F for a pair of mask tubes: J is the mean per-frame IoU, F the mean
     per-frame boundary F-measure, J&F their arithmetic mean."""
     return MetricReport.from_frames(*mask_scores(getattr(tube_pred, "masks", tube_pred),
-                                                 getattr(tube_gt, "masks", tube_gt), tol))
+                                                 getattr(tube_gt, "masks", tube_gt)))
 
 
 def report_csv_text(fold: int, report: MetricReport) -> str:

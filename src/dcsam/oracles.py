@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +43,13 @@ class SuiteResult:
     def summary(self) -> str:
         verdict = "ok" if self.passed else "FAILED"
         return f"{self.name}: {self.trials - self.failures}/{self.trials} trials ok ({verdict})"
+
+
+def _run_trials(name: str, trials: int, trial: Callable[[int], str | None]) -> SuiteResult:
+    """Run ``trial(t)`` for t in range(trials), in order; each returns a failure
+    line or None. The result counts failures and keeps the first five lines."""
+    lines = [line for line in map(trial, range(trials)) if line is not None]
+    return SuiteResult(name, trials, len(lines), tuple(lines[:5]))
 
 
 def cycle_bias_reference(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -84,9 +92,8 @@ def run_cyc_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Random small affinities (half on a coarse grid to force ties) checked
     against the loop reference for an exactly equal keep/drop pattern."""
     rng = rng_for(seed, tag("oracle"), 1)
-    failures = 0
-    detail: list[str] = []
-    for t in range(trials):
+
+    def trial(t: int) -> str | None:
         n = int(rng.integers(1, 5))
         hw = int(rng.integers(1, 10))
         d = int(rng.integers(1, 5))
@@ -100,21 +107,18 @@ def run_cyc_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
         got = cycle_bias(Tensor(a), Tensor(mask))
         want = cycle_bias_reference(a, mask)
         if not np.array_equal(_bias_pattern(got), _bias_pattern(want)):
-            failures += 1
-            if len(detail) < 5:
-                detail.append(f"trial {t}: pattern mismatch for n={n} hw={hw}")
-        elif not np.array_equal(got[~_bias_pattern(got)], want[~_bias_pattern(want)]):
-            failures += 1
-            if len(detail) < 5:
-                detail.append(f"trial {t}: kept entries are not exactly zero")
-    return SuiteResult("cyc", trials, failures, tuple(detail))
+            return f"trial {t}: pattern mismatch for n={n} hw={hw}"
+        if not np.array_equal(got[~_bias_pattern(got)], want[~_bias_pattern(want)]):
+            return f"trial {t}: kept entries are not exactly zero"
+        return None
+
+    return _run_trials("cyc", trials, trial)
 
 
 def run_softmax_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
     rng = rng_for(seed, tag("oracle"), 2)
-    failures = 0
-    detail: list[str] = []
-    for t in range(trials):
+
+    def trial(t: int) -> str | None:
         rows = int(rng.integers(1, 6))
         cols = int(rng.integers(1, 8))
         x = rng.normal(size=(rows, cols)) * 3.0
@@ -129,36 +133,31 @@ def run_softmax_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
         ok = (np.abs(got - want).max() < 1e-12
               and np.abs(got.sum(axis=1) - 1.0).max() < 1e-9
               and (got[:, np.isneginf(bias)] == 0.0).all())
-        if not ok:
-            failures += 1
-            if len(detail) < 5:
-                detail.append(f"trial {t}: max dev {np.abs(got - want).max():.3e}")
-    return SuiteResult("softmax", trials, failures, tuple(detail))
+        return None if ok else f"trial {t}: max dev {np.abs(got - want).max():.3e}"
+
+    return _run_trials("softmax", trials, trial)
 
 
-def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4,
-                   threshold: float = 1e-4) -> SuiteResult:
+def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4) -> SuiteResult:
     """Finite-difference audit of the full prompt-generation + decode + loss
     path on small episodes; fails when any parameter's worst relative error
-    reaches the threshold."""
-    failures = 0
-    detail: list[str] = []
-    for t in range(trials):
+    reaches ``FD_THRESHOLD``."""
+
+    def trial(t: int) -> str | None:
         cfg = TrainConfig(lr=1e-2, steps=1, batch=1, seed=derive_seed(seed, tag("oracle"), 3, t),
                           canvas=8)
         pcfg = cfg.pipeline_config()
         encoder = pcfg.encoder(cfg.seed)
         ep = gen_episode(t % CLASS_COUNT, derive_seed(cfg.seed, tag("gradcheck"), t), (8, 8))
         params = init_params(pcfg, cfg.seed)
-        result = grad_check(params, ep, pcfg, encoder,
-                            samples_per_param=samples_per_param, threshold=threshold,
+        result = grad_check(params, ep, pcfg, encoder, samples_per_param=samples_per_param,
                             seed=cfg.seed)
-        if not result.passed:
-            failures += 1
-            worst_name = max(result.per_param, key=result.per_param.get)
-            if len(detail) < 5:
-                detail.append(f"trial {t}: {worst_name} rel err {result.worst:.3e}")
-    return SuiteResult("grad", trials, failures, tuple(detail))
+        if result.passed:
+            return None
+        worst_name = max(result.per_param, key=result.per_param.get)
+        return f"trial {t}: {worst_name} rel err {result.worst:.3e}"
+
+    return _run_trials("grad", trials, trial)
 
 
 def batch_run(episodes, params, pcfg, encoder) -> dict[str, np.ndarray]:
@@ -189,7 +188,7 @@ def batch_loop_reference(episodes, params, pcfg, encoder) -> dict[str, np.ndarra
         enc_s, enc_q = encoder.encode(ep.support_img), encoder.encode(ep.query_img)
         mask_f = downsample_mask(ep.support_mask, encoder.stride)
         prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, tracked, pcfg)
-        probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.decoder_config())
+        probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.tau)
         row = {"pos": prompts.pos, "pseudo": pseudo, "probs": probs}
         if prompts.neg is not None:
             row["neg"] = prompts.neg
@@ -233,9 +232,8 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
     grid to force ties) must give exactly the per-episode cycle biases.
     """
     rng = rng_for(seed, tag("oracle"), 4)
-    failures = 0
-    detail: list[str] = []
-    for t in range(trials):
+
+    def trial(t: int) -> str | None:
         variant = BATCH_VARIANTS[t % len(BATCH_VARIANTS)]
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 4, t), canvas=8, **variant)
         pcfg = cfg.pipeline_config()
@@ -259,10 +257,10 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
         if not np.array_equal(got, want):
             problems.append("cycle-bias pattern differs from the per-episode one")
         if problems:
-            failures += 1
-            if len(detail) < 5:
-                detail.append(f"trial {t} (B={b}, {variant or 'full model'}): {'; '.join(problems)}")
-    return SuiteResult("batch", trials, failures, tuple(detail))
+            return f"trial {t} (B={b}, {variant or 'full model'}): {'; '.join(problems)}"
+        return None
+
+    return _run_trials("batch", trials, trial)
 
 
 def tube_loop_reference(tube, support_img, support_mask, params, pcfg, encoder
@@ -276,7 +274,7 @@ def tube_loop_reference(tube, support_img, support_mask, params, pcfg, encoder
                                   mask_feat, params, pcfg)
     masks, js, fs = [], [], []
     for frame, gt in zip(tube.frames, tube.masks):
-        probs = decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, pcfg.decoder_config())
+        probs = decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, pcfg.tau)
         mask = binarize(upsample_map(probs, encoder.stride))
         masks.append(mask.data)
         js.append(iou(mask, gt))
@@ -298,9 +296,8 @@ def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
     reference's values and their means exactly.
     """
     rng = rng_for(seed, tag("oracle"), 5)
-    failures = 0
-    detail: list[str] = []
-    for t in range(trials):
+
+    def trial(t: int) -> str | None:
         frames, canvas, stride, neg = TUBE_CASES[t % len(TUBE_CASES)]
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 5, t), canvas=canvas,
                           stride=stride, use_neg_branch=neg)
@@ -323,11 +320,11 @@ def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
         if (report.j, report.f) != (float(np.mean(want_j)), float(np.mean(want_f))):
             problems.append("tube J or F differs")
         if problems:
-            failures += 1
-            if len(detail) < 5:
-                detail.append(f"trial {t} ({frames} frames, canvas {canvas}, stride {stride}, "
-                              f"negative branch {neg}): {'; '.join(problems)}")
-    return SuiteResult("tube", trials, failures, tuple(detail))
+            return (f"trial {t} ({frames} frames, canvas {canvas}, stride {stride}, "
+                    f"negative branch {neg}): {'; '.join(problems)}")
+        return None
+
+    return _run_trials("tube", trials, trial)
 
 
 def _window_stack(img: np.ndarray, radius: int) -> np.ndarray:
@@ -397,9 +394,8 @@ def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteR
     bytes.
     """
     rng = rng_for(seed, tag("oracle"), 6)
-    failures = 0
-    detail: list[str] = []
-    for t in range(trials):
+
+    def trial(t: int) -> str | None:
         (h, w), count, stride, source = ENCODER_CASES[t % len(ENCODER_CASES)]
         shape = (h, w) if count is None else (count, h, w)
         if source == "uniform":
@@ -415,11 +411,11 @@ def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteR
         differ = [name for name, ref in zip(("mid", "high", "sam"), want)
                   if getattr(got, name).data.tobytes() != ref.tobytes()]
         if differ:
-            failures += 1
-            if len(detail) < 5:
-                detail.append(f"trial {t} (shape {shape}, stride {stride}, {source} images): "
-                              f"{', '.join(differ)} maps differ")
-    return SuiteResult("encoder", trials, failures, tuple(detail))
+            return (f"trial {t} (shape {shape}, stride {stride}, {source} images): "
+                    f"{', '.join(differ)} maps differ")
+        return None
+
+    return _run_trials("encoder", trials, trial)
 
 
 # Reference scenes: every footprint attempt rasterized over the whole canvas,
@@ -538,8 +534,8 @@ def _footprint_reference(class_id, rng, h, w):
         if lo <= fp.sum() <= hi:
             return fp
     side = math.isqrt(lo - 1) + 1
-    rows = min(h, side)
-    cols = max(side, -(-lo // rows))
+    rows = h if h < side else side if w >= side else -(-lo // w)
+    cols = w if w < side else side if h >= side else -(-lo // h)
     fp = np.zeros((h, w), dtype=bool)
     fp[(h - rows) // 2:(h - rows) // 2 + rows, (w - cols) // 2:(w - cols) // 2 + cols] = True
     return fp
@@ -611,9 +607,8 @@ def run_episodes_suite(trials: int = CLASS_COUNT * len(EPISODE_CANVASES), seed: 
     must the frames and masks of an 8-frame tube made from each episode.
     """
     rng = rng_for(seed, tag("oracle"), 7)
-    failures = 0
-    detail: list[str] = []
-    for t in range(trials):
+
+    def trial(t: int) -> str | None:
         class_id = t % CLASS_COUNT
         canvas = EPISODE_CANVASES[(t // CLASS_COUNT) % len(EPISODE_CANVASES)]
         ep_seed, tube_seed = (int(v) for v in rng.integers(0, 2**31, size=2))
@@ -626,11 +621,11 @@ def run_episodes_suite(trials: int = CLASS_COUNT * len(EPISODE_CANVASES), seed: 
                        want_tube.frames + want_tube.masks)):
             problems.append("tube")
         if problems:
-            failures += 1
-            if len(detail) < 5:
-                detail.append(f"trial {t} (class {class_id}, seed {ep_seed}, canvas "
-                              f"{canvas[0]}x{canvas[1]}): {', '.join(problems)} differ")
-    return SuiteResult("episodes", trials, failures, tuple(detail))
+            return (f"trial {t} (class {class_id}, seed {ep_seed}, canvas "
+                    f"{canvas[0]}x{canvas[1]}): {', '.join(problems)} differ")
+        return None
+
+    return _run_trials("episodes", trials, trial)
 
 
 SUITES = {

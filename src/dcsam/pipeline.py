@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionBlock, cross_attention, self_attention
-from .decoder import DecoderConfig, decode
+from .decoder import decode
 from .encoder import EncoderMaps, StubEncoder
 from .errors import EmptySupportMask, ShapeMismatch
 from .seeding import rng_for, tag
@@ -59,9 +59,6 @@ class PipelineConfig:
     def fusion_in(self) -> int:
         # feature + pooled broadcast + SAM channels + one reserved prior slot
         return 2 * self.mid_channels + self.embed_dim + 1
-
-    def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(tau=self.tau)
 
     def encoder(self, seed: int) -> StubEncoder:
         # The SAM-like width doubles as the prompt width: the decoder scores
@@ -328,7 +325,7 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
     # that decode off the tape.
     med_pos_labeled, med_neg_labeled = (None if p is None else T.detach(p)
                                         for p in label_prompts(med_pos, med_neg, params))
-    pseudo_probs = decode(med_pos_labeled, med_neg_labeled, query.sam, cfg.decoder_config())
+    pseudo_probs = decode(med_pos_labeled, med_neg_labeled, query.sam, cfg.tau)
     pseudo = binarize(pseudo_probs, PSEUDO_THRESHOLD)
 
     def query_pass(branch: str, mediate: Tensor, tokens_q: Tensor) -> Tensor:
@@ -371,5 +368,5 @@ def infer_mask(support_img: Tensor, support_mask: Tensor, query_img: Tensor,
     enc_q = encoder.encode(query_img, batched)
     mask_feat = downsample_mask(support_mask, encoder.stride)
     prompts, _ = generate_prompts(enc_s, enc_q, mask_feat, params, cfg)
-    probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.decoder_config())
+    probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.tau)
     return upsample_map(probs, encoder.stride)

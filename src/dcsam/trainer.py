@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dcst
 from . import tensor as T
-from .config import TrainConfig, config_text, parse_config_text
+from .config import TrainConfig, config_text, load_config
 from .encoder import EncoderMaps, StubEncoder
 from .episodes import Episode, FoldSplit, gen_episode
 from .errors import CheckpointMissing, ConfigError, DivergenceDetected, EmptyReport, IoError
@@ -27,10 +27,13 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Central differences at h=1e-5 on an O(1) loss carry ~1e-11 absolute noise,
-# so gradients below this scale cannot be certified to a relative tolerance;
-# they are compared against the floor instead.
+# Central differences at FD_STEP on an O(1) loss carry ~1e-11 absolute noise,
+# so gradients below FD_DENOM_FLOOR cannot be certified to a relative
+# tolerance; they are compared against the floor instead. An audit passes
+# when every parameter's worst relative error is below FD_THRESHOLD.
+FD_STEP = 1e-5
 FD_DENOM_FLOOR = 1e-6
+FD_THRESHOLD = 1e-4
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -46,7 +49,8 @@ class AdamW:
     """Adam with decoupled weight decay and cosine learning-rate decay.
 
     With zero gradients the moment estimates stay zero, so a step contracts
-    every parameter by exactly (1 - lr_t * weight_decay).
+    every parameter by exactly (1 - lr_t * weight_decay). A step that
+    overflows a parameter raises DivergenceDetected.
     """
 
     def __init__(self, lr: float, total_steps: int, weight_decay: float):
@@ -73,7 +77,11 @@ class AdamW:
             self._v[name] = v
             update = (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
             theta = param.data
-            out[name] = Tensor(theta - lr_t * self.weight_decay * theta - lr_t * update)
+            try:
+                out[name] = Tensor(theta - lr_t * self.weight_decay * theta - lr_t * update)
+            except ValueError as err:  # Tensor rejects non-finite data
+                raise DivergenceDetected(
+                    f"parameter {name!r} became non-finite at step {self.t - 1}") from err
         return out
 
 
@@ -106,7 +114,7 @@ def batch_forward(enc_s: EncoderMaps, enc_q: EncoderMaps, mask_f: Tensor, gt_f: 
     """The training forward of a stacked batch: prompts, pseudo masks,
     probabilities [B, h, w] and the batch mean of the combined loss."""
     prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, params, pcfg)
-    probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.decoder_config())
+    probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.tau)
     return prompts, pseudo, probs, _mean_loss(probs, gt_f)
 
 
@@ -120,7 +128,7 @@ def tube_loss(support_img: Tensor, support_mask: Tensor, tube: MaskTube,
     prompts, _ = generate_prompts(encoder.encode(support_img), frames.at(0),
                                   downsample_mask(support_mask, encoder.stride), params, pcfg)
     masks = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), encoder.stride)
-    probs = decode(prompts.pos, prompts.neg, frames.sam, pcfg.decoder_config())
+    probs = decode(prompts.pos, prompts.neg, frames.sam, pcfg.tau)
     return _mean_loss(probs, masks)
 
 
@@ -128,7 +136,6 @@ def tube_loss(support_img: Tensor, support_mask: Tensor, tube: MaskTube,
 class TrainResult:
     params: ModelParams
     losses: tuple[float, ...]
-    config: TrainConfig
 
 
 def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
@@ -175,7 +182,7 @@ def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
         named_grads = {name: grads[t] for name, t in name_map.items()}
         params = ModelParams.from_named(opt.step(params.named(), named_grads))
 
-    return TrainResult(params=params, losses=tuple(losses), config=cfg)
+    return TrainResult(params=params, losses=tuple(losses))
 
 
 def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
@@ -216,8 +223,6 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
 @dataclass(frozen=True)
 class GradCheckResult:
     per_param: dict[str, float]
-    threshold: float
-    h: float
 
     @property
     def worst(self) -> float:
@@ -225,16 +230,15 @@ class GradCheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.worst < self.threshold
+        return self.worst < FD_THRESHOLD
 
 
 def grad_check(params: ModelParams, ep: Episode, pcfg: PipelineConfig, encoder: StubEncoder,
-               samples_per_param: int = 5, h: float = 1e-5, threshold: float = 1e-4,
-               seed: int = 0) -> GradCheckResult:
+               samples_per_param: int = 5, seed: int = 0) -> GradCheckResult:
     """Compare tape gradients against central differences on one episode.
 
     Per parameter tensor, a seeded sample of coordinates is perturbed by
-    +-h; the reported number is the worst relative error
+    +-FD_STEP; the reported number is the worst relative error
     |analytic - fd| / max(|analytic|, |fd|, FD_DENOM_FLOOR).
     """
     inputs = encode_episodes([ep], encoder)     # a batch of one
@@ -263,12 +267,12 @@ def grad_check(params: ModelParams, ep: Episode, pcfg: PipelineConfig, encoder: 
                 named[name] = Tensor(flat.reshape(tensor.shape))
                 return loss_at(ModelParams.from_named(named)).item()
 
-            fd = (bumped_loss(+h) - bumped_loss(-h)) / (2.0 * h)
+            fd = (bumped_loss(+FD_STEP) - bumped_loss(-FD_STEP)) / (2.0 * FD_STEP)
             ana = float(analytic[name].reshape(-1)[flat_idx])
             rel = abs(ana - fd) / max(abs(ana), abs(fd), FD_DENOM_FLOOR)
             worst = max(worst, rel)
         per_param[name] = worst
-    return GradCheckResult(per_param=per_param, threshold=threshold, h=h)
+    return GradCheckResult(per_param=per_param)
 
 
 # Checkpoints: one .dcst per parameter plus optimizer.txt and config.txt.
@@ -288,11 +292,7 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
         if not required.exists():
             raise CheckpointMissing(f"{required} is missing")
     try:
-        cfg_text = cfg_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        raise IoError(f"cannot read {cfg_path}: {err}") from err
-    try:
-        cfg = parse_config_text(cfg_text)
+        cfg = load_config(cfg_path)
     except ConfigError as err:
         raise IoError(f"{cfg_path}: {err}") from err
     step = read_fields(opt_path, ("step",)).get("step")
@@ -311,8 +311,6 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
     return ModelParams.from_named(named), cfg, step
 
 
-def grad_check_episode(cfg: TrainConfig, canvas: int = 8, class_id: int = 0,
-                       seed: int | None = None) -> Episode:
-    """Small fixed episode for gradient audits."""
-    return gen_episode(class_id, derive_seed(cfg.seed if seed is None else seed,
-                                             tag("gradcheck")), (canvas, canvas))
+def grad_check_episode(cfg: TrainConfig, canvas: int = 8) -> Episode:
+    """Small fixed episode for gradient audits: class 0 at the config's seed."""
+    return gen_episode(0, derive_seed(cfg.seed, tag("gradcheck")), (canvas, canvas))

@@ -20,6 +20,7 @@ the memory a long tube holds at once.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,18 +126,20 @@ def _pull(array: np.ndarray, source_map) -> np.ndarray:
 
 
 def make_tube(ep: Episode, t_frames: int, seed: int, *,
-              max_step: int = MAX_TRANSLATION_STEP,
               scale_grid: Sequence[float] = DEFAULT_SCALE_GRID,
               allow_flip: bool = True) -> MaskTube:
     """Smooth random-walk tube over the episode's query frame.
 
     Frame 0 is the query unchanged. Translation drifts by at most
-    ``max_step`` px per frame and per axis; scale walks at most one grid
-    index per frame; a flip, when drawn, applies from frame 1 on.
+    ``MAX_TRANSLATION_STEP`` px per frame and per axis; scale walks at most
+    one grid index per frame, over finite positive scales; a flip, when
+    drawn, applies from frame 1 on.
     """
     if t_frames < 1:
         raise FrameCountMismatch(f"t_frames must be >= 1, got {t_frames}")
     scale_grid = tuple(float(s) for s in scale_grid)
+    if not all(0.0 < s < math.inf for s in scale_grid):
+        raise ValueError(f"scale grid {scale_grid} must hold finite positive scales")
     if IDENTITY_SCALE not in scale_grid:
         raise ValueError(f"scale grid {scale_grid} must contain 1.0 (frame 0 is unwarped)")
     rng = rng_for(seed, tag("tube"), ep.class_id)
@@ -149,8 +152,8 @@ def make_tube(ep: Episode, t_frames: int, seed: int, *,
     dx = dy = 0
     scale_idx = scale_grid.index(IDENTITY_SCALE)
     for _ in range(1, t_frames):
-        dx += int(rng.integers(-max_step, max_step + 1))
-        dy += int(rng.integers(-max_step, max_step + 1))
+        dx += int(rng.integers(-MAX_TRANSLATION_STEP, MAX_TRANSLATION_STEP + 1))
+        dy += int(rng.integers(-MAX_TRANSLATION_STEP, MAX_TRANSLATION_STEP + 1))
         if len(scale_grid) > 1:
             scale_idx = int(np.clip(scale_idx + rng.integers(-1, 2), 0, len(scale_grid) - 1))
         spec = TransformSpec(dx=dx, dy=dy, flip=flip, scale=scale_grid[scale_idx])
@@ -176,7 +179,6 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
     tube.validate()
     enc_s = encoder.encode(support_img)
     mask_feat = downsample_mask(support_mask, encoder.stride)
-    dec_cfg = cfg.decoder_config()
     prompts = None
     predicted: list[Tensor] = []
     for start in range(0, len(tube), FRAME_CHUNK):
@@ -184,7 +186,7 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
         maps = encoder.encode(Tensor(np.stack([f.data for f in chunk])), batched=True)
         if prompts is None:
             prompts, _ = generate_prompts(enc_s, maps.at(0), mask_feat, params, cfg)
-        probs = decode(prompts.pos, prompts.neg, maps.sam, dec_cfg)
+        probs = decode(prompts.pos, prompts.neg, maps.sam, cfg.tau)
         predicted.extend(Tensor(m) for m in binarize(upsample_map(probs, encoder.stride)).data)
     return MaskTube(frames=tube.frames, masks=tuple(predicted), transforms=tube.transforms,
                     class_id=tube.class_id, seed=tube.seed)
@@ -219,8 +221,11 @@ def load_tube(directory: str | Path) -> MaskTube:
         index = int(m.group(1))
         if index in transforms:
             raise IoError(f"{meta_path}: repeated transform index {index}")
+        scale = float(m.group(5))
+        if scale <= 0.0:
+            raise IoError(f"{meta_path}: frame {index} has scale {scale}, not positive")
         transforms[index] = TransformSpec(dx=int(m.group(2)), dy=int(m.group(3)),
-                                          flip=bool(int(m.group(4))), scale=float(m.group(5)))
+                                          flip=bool(int(m.group(4))), scale=scale)
         return True
 
     fields = read_fields(meta_path, _META_KEYS, transform_line)

@@ -134,6 +134,14 @@ def test_train_divergence_exits_two(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_optimizer_overflow_exits_two_naming_the_parameter(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TRAIN_CFG.replace("lr = 0.01", "lr = 1e300\nweight_decay = 1e10"))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--fold", "0", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "parameter 'fusion_w'" in err[0] and "step 0" in err[0]
+
+
 def test_eval_writes_report(trained, tmp_path):
     report = tmp_path / "report.csv"
     code = main(["eval", "--ckpt", str(trained / "checkpoint"), "--fold", "0",

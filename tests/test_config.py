@@ -80,6 +80,15 @@ def test_value_validation():
         TrainConfig(lr=0.1, steps=1, batch=1, seed=0, tau=0.0)
 
 
+@pytest.mark.parametrize("key", ["lr", "weight_decay", "tau"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_floats_are_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"seed = 0\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(seed=0, **{key: float(value)})
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(config_text(BASE))

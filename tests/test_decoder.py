@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcsam.decoder import DecoderConfig, decode
+from dcsam.decoder import decode
 from dcsam.errors import ShapeMismatch
 from dcsam.tensor import GradTape, Tensor, grad
 
@@ -40,7 +40,7 @@ def test_matches_scalar_reference(rng):
     neg = rng.normal(size=(5, 4))
     feats = rng.normal(size=(4, 2, 6))
     for tau in (0.5, 1.0, 2.0):
-        got = decode(Tensor(pos), Tensor(neg), Tensor(feats), DecoderConfig(tau=tau))
+        got = decode(Tensor(pos), Tensor(neg), Tensor(feats), tau=tau)
         want = decode_loops(pos, neg, feats, tau)
         assert np.allclose(got.data, want, atol=1e-12)
 
@@ -58,7 +58,7 @@ def test_small_tau_approaches_best_prompt(rng):
     pos = rng.normal(size=(4, 6))
     neg = rng.normal(size=(4, 6))
     feats = rng.normal(size=(6, 2, 2))
-    got = decode(Tensor(pos), Tensor(neg), Tensor(feats), DecoderConfig(tau=1e-3)).data
+    got = decode(Tensor(pos), Tensor(neg), Tensor(feats), tau=1e-3).data
     hard = 1.0 / (1.0 + np.exp(-(
         np.einsum("nd,dhw->nhw", pos, feats).max(axis=0)
         - np.einsum("nd,dhw->nhw", neg, feats).max(axis=0))))
@@ -80,10 +80,9 @@ def test_shape_validation(rng):
         decode(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 5))), feats)
     with pytest.raises(ShapeMismatch):
         decode(Tensor(rng.normal(size=(3, 4))), None, Tensor(rng.normal(size=(4, 9))))
-    with pytest.raises(ShapeMismatch):
-        DecoderConfig(tau=0.0)
-    with pytest.raises(ShapeMismatch):
-        DecoderConfig(tau=-1.0)
+    for tau in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError):
+            decode(Tensor(rng.normal(size=(3, 4))), None, feats, tau=tau)
 
 
 def test_gradients_flow_to_prompts(rng):
@@ -119,10 +118,9 @@ def test_shared_prompts_decode_every_map_of_a_stack_exactly(rng, with_neg):
     pos = Tensor(rng.normal(size=(5, 4)))
     neg = Tensor(rng.normal(size=(3, 4))) if with_neg else None
     maps = rng.normal(size=(6, 4, 3, 5))
-    cfg = DecoderConfig(tau=0.7)
-    stacked = decode(pos, neg, Tensor(maps), cfg)
+    stacked = decode(pos, neg, Tensor(maps), tau=0.7)
     assert stacked.shape == (6, 3, 5)
     for m, probs in zip(maps, stacked.data):
-        assert np.array_equal(decode(pos, neg, Tensor(m), cfg).data, probs)
+        assert np.array_equal(decode(pos, neg, Tensor(m), tau=0.7).data, probs)
     with pytest.raises(ShapeMismatch):
-        decode(Tensor(rng.normal(size=(2, 5, 4))), neg, Tensor(maps), cfg)
+        decode(Tensor(rng.normal(size=(2, 5, 4))), neg, Tensor(maps), tau=0.7)

@@ -105,9 +105,9 @@ def test_split_folds_fold_zero_layout():
 
 def test_split_folds_validation():
     with pytest.raises(NonDivisibleClassCount):
-        split_folds(range(10), 0, fold_count=4)
+        split_folds(range(10), 0)
     with pytest.raises(ValueError):
-        split_folds(class_registry(), 4, fold_count=4)
+        split_folds(class_registry(), 4)
     with pytest.raises(ValueError):
         split_folds(class_registry(), -1)
 
@@ -226,25 +226,14 @@ def test_stamps_are_read_only_cached_and_bounded():
     assert episodes._stamp.cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("top,left", [(-2, 5), (3, -4), (6, 6), (-7, 0), (8, 2), (2, 2)])
-def test_placed_stamp_is_clipped_to_the_canvas(top, left):
-    whole = episodes._pixels(episodes._stamp(episodes._disk_stamp, 3))
-    padded = np.zeros((8 + 2 * 7, 8 + 2 * 7), dtype=bool)
-    padded[7 + top:7 + top + 7, 7 + left:7 + left + 7] = whole
-    want = padded[7:15, 7:15]
-    fp = episodes._place(8, 8, top, left, episodes._disk_stamp, 3)
-    assert np.array_equal(raster(fp, 8, 8), want)
-    rows, area, _, _ = fp[0]
-    assert area == np.count_nonzero(want) <= np.count_nonzero(whole)
-    assert rows == row_bits(episodes._pixels(fp[0]))
-
-
-@pytest.mark.parametrize("canvas", [(8, 8), (8, 40), (64, 64)])
+# Tall, narrow canvases and their transposes need a block longer than wide.
+@pytest.mark.parametrize("canvas", [(8, 8), (8, 40), (64, 64), (500, 8), (8, 500),
+                                    (1000, 8), (8, 1000), (600, 9), (9, 600)])
 def test_fallback_footprint_area_is_legal(monkeypatch, canvas):
     # a family whose every draw covers the whole canvas, above the 50% cap,
     # forces the centered-block fallback for the target
     def whole_canvas(rng, h, w):
-        return episodes._place(h, w, 0, 0, episodes._block_stamp, h, w)
+        return episodes._stamp(episodes._block_stamp, h, w), 0, 0
 
     monkeypatch.setattr(episodes, "_FAMILIES", (whole_canvas,) * 8)
     lo, hi = episodes._area_bounds(*canvas)

@@ -282,7 +282,7 @@ def test_every_parameter_receives_gradient():
     tape = GradTape()
     tracked_params, tracked = watch_params(tape, params)
     prompts, _ = generate_prompts(enc_s, enc_q, ep.support_mask, tracked_params, CFG)
-    probs = decode(prompts.pos, prompts.neg, enc_q.sam, CFG.decoder_config())
+    probs = decode(prompts.pos, prompts.neg, enc_q.sam, CFG.tau)
     loss = total_loss(probs, ep.query_mask)
     grads = grad(tape, loss)
     for name, t in tracked.items():

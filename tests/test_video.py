@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,9 @@ def test_make_tube_validation():
         make_tube(ep, 0, seed=1)
     with pytest.raises(ValueError):
         make_tube(ep, 3, seed=1, scale_grid=(0.9, 1.1))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive"):
+            make_tube(ep, 3, seed=1, scale_grid=(bad, 1.0))
 
 
 def test_tube_validate_catches_structural_errors():
@@ -168,6 +172,17 @@ def test_load_tube_rejects_repeated_and_unknown_lines(tmp_path):
             load_tube(tmp_path / "tube")
     meta.write_text(good)
     assert load_tube(tmp_path / "tube").transforms == tube.transforms
+
+
+@pytest.mark.parametrize("scale", ["0.0", "-1.0", "0"])
+def test_load_tube_rejects_a_scale_that_is_not_positive(tmp_path, scale):
+    save_tube(tmp_path / "tube", make_tube(gen_episode(9, 33, (16, 16)), 3, seed=21))
+    meta = tmp_path / "tube" / "meta.txt"
+    lines = [f"2 0 0 0 {scale}" if ln.startswith("2 ") else ln
+             for ln in meta.read_text().splitlines()]
+    meta.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IoError, match=f"{re.escape(str(meta))}.*frame 2 has scale"):
+        load_tube(tmp_path / "tube")
 
 
 def test_single_frame_propagation_equals_image_inference():
