@@ -53,11 +53,7 @@ class AttentionBlock:
 
 def affinity(q: Tensor, k: Tensor) -> Tensor:
     """Scaled dot-product affinity: [N, d] x [HW, d] -> [N, HW], batched when
-    either operand is: -> [B, N, HW]."""
-    if q.ndim not in (2, 3) or k.ndim not in (2, 3):
-        raise ShapeMismatch(f"affinity needs 2-D or batched 3-D operands, got {q.shape} and {k.shape}")
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeMismatch(f"affinity: widths differ ({q.shape} vs {k.shape})")
+    either operand is: -> [B, N, HW]. ``matmul`` checks the operands."""
     return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
 
 
@@ -69,15 +65,10 @@ def cycle_bias(a: Tensor, mask: Tensor) -> np.ndarray:
     smallest index. A constant array computed from raw values, off the tape.
     A batch [B, N, HW] with masks [B, HW] gives one chain and one bias row
     per episode. The result is an additive softmax bias [HW] (or [B, HW]).
+    The mask is binary: ``generate_prompts`` checks the support mask that
+    both branch masks come from, and the pseudo mask is thresholded.
     """
-    if a.ndim not in (2, 3):
-        raise ShapeMismatch(f"cycle_bias needs a 2-D or batched 3-D affinity, got {a.shape}")
-    positions = a.shape[:-2] + a.shape[-1:]
-    if mask.shape != positions:
-        raise ShapeMismatch(f"cycle_bias: mask shape {mask.shape} does not match positions {positions}")
     m = mask.data
-    if not np.isin(m, (0.0, 1.0)).all():
-        raise ValueError("cycle_bias: mask must be binary")
     vals = a.data
     i_star = np.argmax(vals, axis=-2)         # per support position, first max
     row_best = np.argmax(vals, axis=-1)       # per query, first max
@@ -97,11 +88,6 @@ def cross_attention(block: AttentionBlock, queries: Tensor, feats: Tensor,
     all-equal mask the bias is all zeros, so the result equals the unbiased
     one exactly; a bias that masks a whole softmax row raises AllMasked.
     """
-    if queries.ndim not in (2, 3) or feats.ndim not in (2, 3):
-        raise ShapeMismatch(f"attention needs 2-D or batched 3-D operands, got {queries.shape} and {feats.shape}")
-    if queries.shape[-1] != block.width or feats.shape[-1] != block.width:
-        raise ShapeMismatch(
-            f"attention width {block.width} does not match inputs {queries.shape}, {feats.shape}")
     weights = _attention_weights(block, queries, feats, mask)
     return T.matmul(weights, T.matmul(feats, block.wv))
 

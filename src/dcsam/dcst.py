@@ -1,4 +1,4 @@
-"""Tensor file format and the one bundle writer.
+"""Tensor file format, the one bundle writer and the bundle tensor reader.
 
 Layout: magic ``DCST``, version byte 0x01, rank byte, little-endian uint32
 dims, then little-endian float32 data in row-major order. Values live as
@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import IoError
-from .tensor import Tensor
+from .tensor import Tensor, is_binary
 from .util import atomic_write_bytes, atomic_write_text
 
 MAGIC = b"DCST"
@@ -67,6 +67,22 @@ def read_tensor(path: str | Path) -> Tensor:
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
     return tensor_from_bytes(raw, source=str(path))
+
+
+def read_bundle(directory: Path, images: Sequence[str], masks: Sequence[str]) -> list[Tensor]:
+    """Read a bundle's images, then its masks (an episode or a tube): every
+    tensor must have the first one's shape and every mask only values 0 and
+    1. A fault raises IoError naming its file."""
+    names = (*images, *masks)
+    tensors = [read_tensor(directory / name) for name in names]
+    for name, t in zip(names, tensors):
+        if t.shape != tensors[0].shape:
+            raise IoError(f"{directory / name}: shape {t.shape} does not match "
+                          f"{directory / names[0]} ({tensors[0].shape})")
+    for name, t in zip(masks, tensors[len(images):]):
+        if not is_binary(t.data):
+            raise IoError(f"{directory / name}: mask values must be 0 or 1")
+    return tensors
 
 
 def tensor_from_bytes(raw: bytes, *, source: str = "<bytes>") -> Tensor:

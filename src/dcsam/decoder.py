@@ -37,10 +37,6 @@ def decode(pos_labeled: Tensor, neg_labeled: Tensor | None, feats: Tensor,
         raise ShapeMismatch(f"decoder features must be [d, H, W] or [B, d, H, W], got {feats.shape}")
     lead = feats.shape[:-3]
     d, h, w = feats.shape[-3:]
-    for name, prompts in (("positive", pos_labeled), ("negative", neg_labeled)):
-        if prompts is not None and (prompts.ndim < 2 or prompts.shape[:-2] not in ((), lead)
-                                    or prompts.shape[-1] != d):
-            raise ShapeMismatch(f"{name} prompts {prompts.shape} do not match features {feats.shape}")
     flat = T.reshape(feats, lead + (d, h * w))
     logit = _branch_score(pos_labeled, flat, tau)
     if neg_labeled is not None:

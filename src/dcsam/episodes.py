@@ -365,12 +365,11 @@ def save_episode(directory: str | Path, ep: Episode) -> list[Path]:
 
 def load_episode(directory: str | Path) -> Episode:
     directory = Path(directory)
-    tensors = [dcst.read_tensor(directory / name) for name in _BUNDLE_FILES]
+    s_img, q_img, s_mask, q_mask = dcst.read_bundle(directory, _BUNDLE_FILES[::2], _BUNDLE_FILES[1::2])
     meta_path = directory / "meta.txt"
     fields = read_fields(meta_path, _META_KEYS)
     for key in _META_KEYS:
         if key not in fields:
             raise IoError(f"{meta_path}: missing key {key!r}")
-    return Episode(support_img=tensors[0], support_mask=tensors[1],
-                   query_img=tensors[2], query_mask=tensors[3],
+    return Episode(support_img=s_img, support_mask=s_mask, query_img=q_img, query_mask=q_mask,
                    class_id=fields["class_id"], seed=fields["seed"])

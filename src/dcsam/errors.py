@@ -42,7 +42,7 @@ class EmptyReport(DcsamError):
 
 
 class DivergenceDetected(DcsamError):
-    """Training loss became non-finite."""
+    """Training overflowed: an op or a parameter update became non-finite."""
 
 
 class ConfigError(DcsamError):

@@ -6,10 +6,7 @@ episode of a stack [B, ...] -> [B]. The combined loss is their plain sum.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
-from .errors import ShapeMismatch
 from .tensor import Tensor
 
 CLAMP_LO = 1e-7
@@ -17,16 +14,8 @@ CLAMP_HI = 1.0 - 1e-7
 DICE_EPS = 1e-6
 
 
-def _check_pair(pred: Tensor, target: Tensor, op: str) -> None:
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"{op}: prediction {pred.shape} vs target {target.shape}")
-    if not np.isin(target.data, (0.0, 1.0)).all():
-        raise ValueError(f"{op}: target must be binary")
-
-
 def bce_loss(pred: Tensor, target: Tensor, batched: bool = False) -> Tensor:
     """Mean binary cross-entropy; predictions are clamped to [1e-7, 1 - 1e-7]."""
-    _check_pair(pred, target, "bce_loss")
     p = T.clamp(pred, CLAMP_LO, CLAMP_HI)
     y = Tensor(target.data)
     one_minus_y = Tensor(1.0 - target.data)
@@ -39,7 +28,6 @@ def bce_loss(pred: Tensor, target: Tensor, batched: bool = False) -> Tensor:
 
 def dice_loss(pred: Tensor, target: Tensor, batched: bool = False) -> Tensor:
     """Soft Dice: 1 - 2*sum(p*y) / (sum(p^2) + sum(y^2) + eps)."""
-    _check_pair(pred, target, "dice_loss")
     y = Tensor(target.data)
     inter = T.sum_all(T.mul(pred, y), batched)
     pred_sq = T.sum_all(T.mul(pred, pred), batched)

@@ -21,12 +21,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyReport, FrameCountMismatch, ShapeMismatch
-from .tensor import Tensor
+from .tensor import Tensor, is_binary
 from .util import atomic_write_text
 
 
 def _binary(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isin(arr, (0.0, 1.0)).all():
+    if not is_binary(arr):
         raise ValueError(f"{op}: masks must be binary")
     return arr.astype(bool)
 

@@ -35,7 +35,7 @@ from .decoder import decode
 from .encoder import EncoderMaps, StubEncoder
 from .errors import EmptySupportMask, ShapeMismatch
 from .seeding import rng_for, tag
-from .tensor import GradTape, Tensor, binarize
+from .tensor import GradTape, Tensor, binarize, is_binary
 
 PSEUDO_THRESHOLD = 0.5
 
@@ -146,13 +146,7 @@ class PromptSet:
 def mask_average(feat: Tensor, mask: Tensor) -> Tensor:
     """Masked global average pool: [C, H, W] with [H, W] -> [C], or per
     episode [B, C, H, W] with [B, H, W] -> [B, C]. Detached."""
-    if (feat.ndim not in (3, 4) or mask.ndim != feat.ndim - 1
-            or feat.shape[:-3] + feat.shape[-2:] != mask.shape):
-        raise ShapeMismatch(f"mask_average: feature {feat.shape} vs mask {mask.shape}")
-    m = mask.data
-    if not np.isin(m, (0.0, 1.0)).all():
-        raise ValueError("mask_average: mask must be binary")
-    m = m[..., None, :, :]
+    m = mask.data[..., None, :, :]
     pooled = (feat.data * m).sum(axis=(-2, -1)) / (m.sum(axis=(-2, -1)) + 1e-6)
     return Tensor(pooled)
 
@@ -186,17 +180,11 @@ def max_cosine_map(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
 
     Similarities are taken episode by episode against the masked support
     positions only: selecting them first costs less than one batched
-    matrix over every support position.
+    matrix over every support position. Each mask needs a masked position,
+    which ``generate_prompts`` checks per branch.
     """
-    if (f_q.ndim not in (3, 4) or f_s.ndim != f_q.ndim
-            or f_q.shape[:-2] != f_s.shape[:-2]):
-        raise ShapeMismatch(f"max_cosine_map: features {f_q.shape} vs {f_s.shape}")
     lead = f_s.shape[:-3]
-    if support_mask.shape != lead + f_s.shape[-2:]:
-        raise ShapeMismatch(f"max_cosine_map: mask {support_mask.shape} vs {f_s.shape}")
     m = support_mask.data.reshape(lead + (-1,)).astype(bool)
-    if not m.any(axis=-1).all():
-        raise EmptySupportMask("prior mask needs at least one masked support position")
     c, h, w = f_q.shape[-3:]
     q = np.swapaxes(f_q.data.reshape(lead + (c, -1)), -1, -2)     # [..., HW, C]
     s = np.swapaxes(f_s.data.reshape(lead + (c, -1)), -1, -2)
@@ -236,17 +224,10 @@ def fuse(feat: Tensor, pooled: Tensor, f_sam: Tensor, prior: Tensor | None,
     project with the shared 1x1 conv. A missing prior feeds zeros into its
     reserved channel so support and query side share one weight shape.
     Batched inputs carry a leading batch axis on every argument."""
-    if (feat.ndim not in (3, 4) or f_sam.ndim != feat.ndim
-            or feat.shape[:-3] + feat.shape[-2:] != f_sam.shape[:-3] + f_sam.shape[-2:]):
-        raise ShapeMismatch(f"fuse: feature {feat.shape} vs SAM map {f_sam.shape}")
     lead = feat.shape[:-3]
     h, w = feat.shape[-2:]
-    if prior is None:
-        prior_chan = T.zeros(lead + (1, h, w))
-    else:
-        if prior.shape != lead + (h, w):
-            raise ShapeMismatch(f"fuse: prior {prior.shape} does not match {h}x{w}")
-        prior_chan = T.reshape(prior, lead + (1, h, w))
+    prior_chan = (T.zeros(lead + (1, h, w)) if prior is None
+                  else T.reshape(prior, lead + (1, h, w)))
     stacked = T.concat_channels([feat, T.tile_spatial(pooled, h, w), f_sam, prior_chan])
     return T.conv1x1(stacked, params.fusion_w, params.fusion_b)
 
@@ -280,18 +261,14 @@ def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Ten
     A batch of episodes stacks the maps [B, C, H, W] and the support masks
     [B, H, W]; prompts and pseudo masks then come back stacked as well.
     """
-    if support.mid.ndim not in (3, 4):
-        raise ShapeMismatch(f"support maps must be [C, H, W] or [B, C, H, W], got {support.mid.shape}")
     lead = support.mid.shape[:-3]
     h, w = support.mid.shape[-2:]
-    for name, maps in (("support", support), ("query", query)):
-        for m in (maps.mid, maps.high, maps.sam):
-            if m.ndim != len(lead) + 3 or m.shape[:-3] + m.shape[-2:] != lead + (h, w):
-                raise ShapeMismatch(f"{name} maps disagree on spatial size {m.shape}")
+    if query.mid.shape[:-3] + query.mid.shape[-2:] != lead + (h, w):
+        raise ShapeMismatch(f"query maps {query.mid.shape} do not match support maps {support.mid.shape}")
     if support_mask.shape != lead + (h, w):
         raise ShapeMismatch(f"support mask {support_mask.shape} does not match {h}x{w} features")
     mask = support_mask.data
-    if not np.isin(mask, (0.0, 1.0)).all():
+    if not is_binary(mask):
         raise ValueError("support mask must be binary")
 
     branch_masks = {"pos": mask}

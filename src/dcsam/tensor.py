@@ -128,6 +128,11 @@ def binarize(t: Tensor, threshold: float = 0.5) -> Tensor:
     return adopt((t.data >= threshold).astype(np.float64))
 
 
+def is_binary(arr: np.ndarray) -> bool:
+    """Whether every value is exactly 0 or 1: the one binary-mask check."""
+    return bool(np.isin(arr, (0.0, 1.0)).all())
+
+
 class GradTape:
     """Ordered record of executed operations for reverse-mode accumulation.
 

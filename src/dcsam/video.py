@@ -35,7 +35,7 @@ from .errors import FrameCountMismatch, IoError, ShapeMismatch
 from .pipeline import ModelParams, PipelineConfig, downsample_mask, generate_prompts, upsample_map
 from .decoder import decode
 from .seeding import rng_for, tag
-from .tensor import Tensor, binarize
+from .tensor import Tensor, binarize, is_binary
 from .util import read_fields
 
 IDENTITY_SCALE = 1.0
@@ -66,8 +66,8 @@ class MaskTube:
     For synthetic tubes every mask is exactly the base mask warped by its
     frame's transform, by construction. Predicted tubes keep the source
     frames and transforms but carry model masks. ``validate`` checks the
-    schema (counts, shapes, binary masks, identity frame 0) where a tube
-    enters from outside: loading, saving and propagation.
+    schema (counts, shapes, binary masks, identity frame 0) where a tube is
+    saved or propagated; ``load_tube`` checks the same of the files it reads.
     """
 
     frames: tuple[Tensor, ...]
@@ -90,7 +90,7 @@ class MaskTube:
         for fr, mk in zip(self.frames, self.masks):
             if fr.shape != shape or mk.shape != shape:
                 raise ShapeMismatch("tube frames and masks must share one shape")
-            if not np.isin(mk.data, (0.0, 1.0)).all():
+            if not is_binary(mk.data):
                 raise ValueError("tube masks must be binary")
         if not self.transforms[0].is_identity():
             raise ValueError("frame 0 must carry the identity transform")
@@ -195,8 +195,10 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
 # On-disk tube layout: frames/frame_%04d.dcst, masks/mask_%04d.dcst, meta.txt.
 
 _META_KEYS = ("class_id", "seed", "frames")
+# Scales are written with ``repr`` (exponent notation below 1e-4 and from
+# 1e16); the reader parses that grammar, signed, and never inf or nan.
 _META_TRANSFORM = re.compile(
-    r"^(\d+)\s+(-?\d+)\s+(-?\d+)\s+([01])\s+(-?\d+(?:\.\d+)?)$")
+    r"^(\d+)\s+(-?\d+)\s+(-?\d+)\s+([01])\s+(-?\d+(?:\.\d+)?(?:e[-+]\d+)?)$")
 
 
 def save_tube(directory: str | Path, tube: MaskTube) -> None:
@@ -222,8 +224,8 @@ def load_tube(directory: str | Path) -> MaskTube:
         if index in transforms:
             raise IoError(f"{meta_path}: repeated transform index {index}")
         scale = float(m.group(5))
-        if scale <= 0.0:
-            raise IoError(f"{meta_path}: frame {index} has scale {scale}, not positive")
+        if not 0.0 < scale < math.inf:
+            raise IoError(f"{meta_path}: frame {index} has scale {scale}, not finite and positive")
         transforms[index] = TransformSpec(dx=int(m.group(2)), dy=int(m.group(3)),
                                           flip=bool(int(m.group(4))), scale=scale)
         return True
@@ -238,12 +240,10 @@ def load_tube(directory: str | Path) -> MaskTube:
     # the log's length bounds the count before a list of that size is built
     if len(transforms) != count or sorted(transforms) != list(range(count)):
         raise IoError(f"{meta_path}: transform log does not cover frames 0..{count - 1}")
-    tube = MaskTube(
-        frames=tuple(dcst.read_tensor(directory / "frames" / f"frame_{t:04d}.dcst")
-                     for t in range(count)),
-        masks=tuple(dcst.read_tensor(directory / "masks" / f"mask_{t:04d}.dcst")
-                    for t in range(count)),
-        transforms=tuple(transforms[t] for t in range(count)),
-        class_id=fields["class_id"], seed=fields["seed"])
-    tube.validate()
-    return tube
+    if not transforms[0].is_identity():
+        raise IoError(f"{meta_path}: frame 0 must carry the identity transform")
+    tensors = dcst.read_bundle(directory, [f"frames/frame_{t:04d}.dcst" for t in range(count)],
+                               [f"masks/mask_{t:04d}.dcst" for t in range(count)])
+    return MaskTube(frames=tuple(tensors[:count]), masks=tuple(tensors[count:]),
+                    transforms=tuple(transforms[t] for t in range(count)),
+                    class_id=fields["class_id"], seed=fields["seed"])

@@ -186,8 +186,6 @@ def test_batched_shape_errors(rng):
         T.masked_softmax_rows(Tensor(rng.normal(size=(2, 3, 4))), np.zeros((3, 4)))
     with pytest.raises(ShapeMismatch):
         T.concat_channels([Tensor(np.ones((2, 1, 3, 3))), Tensor(np.ones((3, 1, 3, 3)))])
-    with pytest.raises(ShapeMismatch):
-        attention.cycle_bias(Tensor(rng.normal(size=(2, 3, 4))), Tensor(np.ones(4)))
 
 
 # -- finite differences of every batched op -------------------------------------

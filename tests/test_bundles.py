@@ -1,18 +1,23 @@
 """Episode bundles, tube bundles and checkpoints share one writer
 (``dcst.write_bundle``) and one ``key = integer`` reader (``util.read_fields``):
-their on-disk layout is pinned here, and their metadata files obey one grammar."""
+their on-disk layout is pinned here, their metadata files obey one grammar, and
+the tensors of episodes and tubes pass one reader (``dcst.read_bundle``)."""
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcsam.cli import main
 from dcsam.config import TrainConfig
-from dcsam.dcst import tensor_bytes
+from dcsam.dcst import read_tensor, tensor_bytes, write_tensor
 from dcsam.episodes import gen_episode, load_episode, save_episode
 from dcsam.errors import IoError
 from dcsam.pipeline import init_params
-from dcsam.tensor import Tensor
+from dcsam.tensor import Tensor, is_binary
 from dcsam.trainer import load_checkpoint, save_checkpoint
 from dcsam.video import MaskTube, TransformSpec, load_tube, make_tube, save_tube
 
@@ -173,3 +178,73 @@ def test_undecodable_metadata_exits_three_naming_the_file(tmp_path, capsys, targ
                  str(tmp_path / "episode"), "--frames", "2", "--out", str(tmp_path / "t")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+# Mask files of an episode and a tube bundle, and the loader of each.
+MASK_FILES = [("episode", "support_mask.dcst"), ("episode", "query_mask.dcst"),
+              ("tube", "masks/mask_0001.dcst")]
+
+
+def _bundle(kind, root):
+    return (_episode_bundle if kind == "episode" else _tube_bundle)(root)[1]
+
+
+def _loaded_masks(loaded):
+    if isinstance(loaded, MaskTube):
+        return loaded.masks
+    return loaded.support_mask, loaded.query_mask
+
+
+@pytest.mark.parametrize("kind, name, fault",
+                         [(kind, name, "half") for kind, name in MASK_FILES]
+                         + [(kind, name, "shape") for kind, name in MASK_FILES]
+                         + [("episode", "query.dcst", "shape"),
+                            ("tube", "frames/frame_0002.dcst", "shape")])
+def test_a_non_binary_mask_or_a_stray_shape_exits_three_naming_the_file(
+        tmp_path, capsys, kind, name, fault):
+    load = _bundle(kind, tmp_path / "bundle")
+    path = tmp_path / "bundle" / name
+    data = read_tensor(path).data.copy()
+    if fault == "half":
+        data[0, 0] = 0.5
+    else:
+        data = data[:, :-1]
+    write_tensor(path, Tensor(data))
+    word = "mask values must be 0 or 1" if fault == "half" else "does not match"
+    with pytest.raises(IoError, match=re.escape(str(path)) + ".*" + word):
+        load()
+    if kind == "episode":
+        save_checkpoint(tmp_path / "ckpt", init_params(CFG.pipeline_config(), seed=0), CFG, 3)
+        capsys.readouterr()
+        assert main(["tube", "--ckpt", str(tmp_path / "ckpt"), "--episode",
+                     str(tmp_path / "bundle"), "--frames", "2", "--out", str(tmp_path / "t")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+def _changed(raw, change):
+    cut, pos, byte = change
+    if cut is not None:
+        return raw[:cut % len(raw)]
+    out = bytearray(raw)
+    out[pos % len(raw)] = byte
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MASK_FILES),
+       st.one_of(st.tuples(st.integers(0, 10 ** 6), st.none(), st.none()),
+                 st.tuples(st.none(), st.integers(0, 10 ** 6), st.integers(0, 255))))
+def test_a_changed_mask_file_loads_binary_or_raises_io_error_naming_it(target, change):
+    # a truncation or a single-byte change: no other exception type escapes
+    kind, name = target
+    with tempfile.TemporaryDirectory() as tmp:
+        load = _bundle(kind, Path(tmp))
+        path = Path(tmp) / name
+        path.write_bytes(_changed(path.read_bytes(), change))
+        try:
+            loaded = load()
+        except IoError as err:
+            assert str(path) in str(err)
+        else:
+            assert all(is_binary(m.data) for m in _loaded_masks(loaded))

@@ -9,10 +9,12 @@ from dcsam import tensor as tensor_module
 from dcsam import video as video_module
 from dcsam.tensor import Tensor
 from dcsam.oracles import (
+    EPISODE_FIELDS,
     SUITES,
     SuiteResult,
     cycle_bias_reference,
     descriptors_reference,
+    episode_reference,
     run_cyc_suite,
     run_encoder_suite,
     run_episodes_suite,
@@ -140,6 +142,18 @@ def test_encoder_suite_checks_the_projection_itself(monkeypatch):
     result = run_encoder_suite(trials=8, seed=3)
     assert result.failures == 8
     assert "sam maps differ" in result.detail[0]
+
+
+# Elongated canvases on which some draws fall back to the centered block,
+# a path the suite's own canvases never reach.
+@pytest.mark.parametrize("canvas", [(500, 8), (8, 500), (1000, 8), (600, 9)])
+def test_fallback_footprints_match_the_reference(canvas):
+    for class_id in range(episodes_module.CLASS_COUNT):
+        got = episodes_module.gen_episode(class_id, 3, canvas)
+        want = episode_reference(class_id, 3, canvas)
+        for name in EPISODE_FIELDS:
+            assert getattr(got, name).data.tobytes() == getattr(want, name).data.tobytes(), (
+                class_id, name)
 
 
 def test_episodes_suite_passes_and_catches_a_short_stamp(monkeypatch):

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from dcsam.seeding import derive_seed, episode_seed, rng_for, tag
-from dcsam.util import atomic_write_text
+from dcsam.util import atomic_write_bytes, atomic_write_text
 
 
 def test_derive_seed_deterministic():
@@ -50,3 +52,17 @@ def test_atomic_write_text(tmp_path):
     atomic_write_text(target, "replaced\n")
     assert target.read_text() == "replaced\n"
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_atomic_write_failure_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_bytes(target, b"new")
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

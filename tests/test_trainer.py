@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_train_losses_are_finite_and_recorded():
     result = train(TINY, FOLD)
     assert len(result.losses) == TINY.steps
     assert all(math.isfinite(v) for v in result.losses)
+
+
+def test_one_train_step_checks_its_masks_once(monkeypatch):
+    # the support mask is checked in generate_prompts; the layers below it
+    # trust the masks derived from it, and np.isin runs only in is_binary
+    callers = []
+    isin = np.isin
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return isin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isin", spy)
+    train(TrainConfig(lr=1e-2, steps=1, batch=2, seed=11, canvas=8), FOLD)
+    assert callers == ["is_binary"]
 
 
 def test_train_with_tube_steps_extends_schedule():

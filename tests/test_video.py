@@ -174,15 +174,48 @@ def test_load_tube_rejects_repeated_and_unknown_lines(tmp_path):
     assert load_tube(tmp_path / "tube").transforms == tube.transforms
 
 
-@pytest.mark.parametrize("scale", ["0.0", "-1.0", "0"])
-def test_load_tube_rejects_a_scale_that_is_not_positive(tmp_path, scale):
-    save_tube(tmp_path / "tube", make_tube(gen_episode(9, 33, (16, 16)), 3, seed=21))
-    meta = tmp_path / "tube" / "meta.txt"
+def _tube_with_scale(root, scale):
+    save_tube(root, make_tube(gen_episode(9, 33, (16, 16)), 3, seed=21))
+    meta = root / "meta.txt"
     lines = [f"2 0 0 0 {scale}" if ln.startswith("2 ") else ln
              for ln in meta.read_text().splitlines()]
     meta.write_text("\n".join(lines) + "\n")
+    return meta
+
+
+@pytest.mark.parametrize("scale", ["0.0", "-1.0", "0"])
+def test_load_tube_rejects_a_scale_that_is_not_positive(tmp_path, scale):
+    meta = _tube_with_scale(tmp_path / "tube", scale)
     with pytest.raises(IoError, match=f"{re.escape(str(meta))}.*frame 2 has scale"):
         load_tube(tmp_path / "tube")
+
+
+@pytest.mark.parametrize("scale, word", [("inf", "malformed line"), ("nan", "malformed line"),
+                                         ("1e+999", "frame 2 has scale inf")])
+def test_load_tube_rejects_a_scale_that_is_not_finite(tmp_path, scale, word):
+    meta = _tube_with_scale(tmp_path / "tube", scale)
+    with pytest.raises(IoError, match=f"{re.escape(str(meta))}.*{word}"):
+        load_tube(tmp_path / "tube")
+
+
+def test_load_tube_rejects_a_moved_frame_zero_naming_the_file(tmp_path):
+    save_tube(tmp_path / "tube", make_tube(gen_episode(9, 33, (16, 16)), 3, seed=21))
+    meta = tmp_path / "tube" / "meta.txt"
+    meta.write_text(meta.read_text().replace("\n0 0 0 0 1.0\n", "\n0 1 0 0 1.0\n"))
+    with pytest.raises(IoError, match=f"{re.escape(str(meta))}.*frame 0 must carry the identity"):
+        load_tube(tmp_path / "tube")
+
+
+@pytest.mark.parametrize("scale", [1e-05, 2.5e16])
+def test_save_load_round_trip_at_exponent_scales(tmp_path, scale):
+    # repr writes these in exponent notation, which the reader must take
+    tube = make_tube(gen_episode(0, 1, (16, 16)), 6, 0, scale_grid=(scale, 1.0))
+    assert scale in [spec.scale for spec in tube.transforms]
+    save_tube(tmp_path / "tube", tube)
+    back = load_tube(tmp_path / "tube")
+    assert back.transforms == tube.transforms
+    for a, b in zip(back.frames + back.masks, tube.frames + tube.masks):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_single_frame_propagation_equals_image_inference():
