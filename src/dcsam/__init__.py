@@ -24,8 +24,8 @@ from .errors import (AllMasked, CheckpointMissing, ConfigError, DcsamError,
 from .losses import bce_loss, dice_loss, total_loss
 from .metrics import (MetricReport, boundary_f, boundary_pixels, default_boundary_tol,
                       iou, jf_score, mask_scores, miou, write_report)
-from .pipeline import (ModelParams, PipelineConfig, PromptSet, generate_prompts,
-                       infer_mask, init_params, prior_mask, watch_params)
+from .pipeline import (ModelParams, PromptSet, generate_prompts, infer_mask, init_params,
+                       prior_mask, watch_params)
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, detach, grad, zeros
 from .trainer import (AdamW, GradCheckResult, TrainResult, cosine_lr, evaluate,
@@ -48,8 +48,8 @@ __all__ = [
     "bce_loss", "dice_loss", "total_loss",
     "MetricReport", "boundary_f", "boundary_pixels", "default_boundary_tol", "iou",
     "jf_score", "mask_scores", "miou", "write_report",
-    "ModelParams", "PipelineConfig", "PromptSet", "generate_prompts", "infer_mask",
-    "init_params", "prior_mask", "watch_params",
+    "ModelParams", "PromptSet", "generate_prompts", "infer_mask", "init_params",
+    "prior_mask", "watch_params",
     "derive_seed", "episode_seed", "rng_for", "tag",
     "GradTape", "Tensor", "binarize", "detach", "grad", "zeros",
     "AdamW", "GradCheckResult", "TrainResult", "cosine_lr", "evaluate", "grad_check",

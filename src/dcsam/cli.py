@@ -179,10 +179,8 @@ def cmd_tube(args, argv: list[str]) -> int:
     params, cfg, _step = load_checkpoint(args.ckpt)
     ep = load_episode(args.episode)
     gt = make_tube(ep, args.frames, ep.seed)
-    pcfg = cfg.pipeline_config()
-    encoder = pcfg.encoder(cfg.seed)
     pred = propagate_first_frame(gt, ep.support_img, ep.support_mask,
-                                 params, pcfg, encoder)
+                                 params, cfg, cfg.encoder(cfg.seed))
     out = Path(args.out)
     pred_dir = out / "predicted"
     save_tube(pred_dir, pred)

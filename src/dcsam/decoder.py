@@ -26,7 +26,7 @@ def _branch_score(prompts: Tensor, flat_feats: Tensor, tau: float) -> Tensor:
 
 
 def decode(pos_labeled: Tensor, neg_labeled: Tensor | None, feats: Tensor,
-           tau: float = 1.0) -> Tensor:
+           tau: float) -> Tensor:
     """Decode labeled prompts against a feature map [d, H, W] into [H, W]
     probabilities, or per episode: [B, N, d] prompts against [B, d, H, W]
     maps into [B, H, W]. Prompts [N, d] against [B, d, H, W] maps are shared

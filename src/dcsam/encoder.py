@@ -46,8 +46,7 @@ class EncoderMaps:
 class StubEncoder:
     """Frozen projections of local statistics, shared across all episodes."""
 
-    def __init__(self, seed: int, d_mid: int = 6, d_high: int = 6, d_sam: int = 12,
-                 stride: int = 1):
+    def __init__(self, seed: int, d_mid: int, d_high: int, d_sam: int, stride: int):
         if min(d_mid, d_high, d_sam) < 1 or stride < 1:
             raise ShapeMismatch("encoder widths and stride must be positive")
         self.seed = int(seed)

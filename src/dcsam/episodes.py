@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dcst
-from .errors import IoError, NonDivisibleClassCount, ShapeMismatch, UnknownClass
+from .errors import NonDivisibleClassCount, ShapeMismatch, UnknownClass
 from .seeding import rng_for, tag
 from .tensor import Tensor, adopt
 from .util import read_fields
@@ -368,8 +368,5 @@ def load_episode(directory: str | Path) -> Episode:
     s_img, q_img, s_mask, q_mask = dcst.read_bundle(directory, _BUNDLE_FILES[::2], _BUNDLE_FILES[1::2])
     meta_path = directory / "meta.txt"
     fields = read_fields(meta_path, _META_KEYS)
-    for key in _META_KEYS:
-        if key not in fields:
-            raise IoError(f"{meta_path}: missing key {key!r}")
     return Episode(support_img=s_img, support_mask=s_mask, query_img=q_img, query_mask=q_mask,
                    class_id=fields["class_id"], seed=fields["seed"])

@@ -146,11 +146,10 @@ def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4) -
     def trial(t: int) -> str | None:
         cfg = TrainConfig(lr=1e-2, steps=1, batch=1, seed=derive_seed(seed, tag("oracle"), 3, t),
                           canvas=8)
-        pcfg = cfg.pipeline_config()
-        encoder = pcfg.encoder(cfg.seed)
+        encoder = cfg.encoder(cfg.seed)
         ep = gen_episode(t % CLASS_COUNT, derive_seed(cfg.seed, tag("gradcheck"), t), (8, 8))
-        params = init_params(pcfg, cfg.seed)
-        result = grad_check(params, ep, pcfg, encoder, samples_per_param=samples_per_param,
+        params = init_params(cfg, cfg.seed)
+        result = grad_check(params, ep, cfg, encoder, samples_per_param=samples_per_param,
                             seed=cfg.seed)
         if result.passed:
             return None
@@ -160,13 +159,13 @@ def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4) -
     return _run_trials("grad", trials, trial)
 
 
-def batch_run(episodes, params, pcfg, encoder) -> dict[str, np.ndarray]:
+def batch_run(episodes, params, cfg, encoder) -> dict[str, np.ndarray]:
     """Prompts, pseudo masks, probabilities, batch-mean loss and parameter
     gradients of one stacked batch, from the training forward."""
     inputs = encode_episodes(episodes, encoder)
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)
-    prompts, pseudo, probs, loss = batch_forward(*inputs, tracked, pcfg)
+    prompts, pseudo, probs, loss = batch_forward(*inputs, tracked, cfg)
     grads = grad(tape, loss)
     out = {"pos": prompts.pos.data, "pseudo": pseudo.data, "probs": probs.data,
            "loss": loss.data}
@@ -176,7 +175,7 @@ def batch_run(episodes, params, pcfg, encoder) -> dict[str, np.ndarray]:
     return out
 
 
-def batch_loop_reference(episodes, params, pcfg, encoder) -> dict[str, np.ndarray]:
+def batch_loop_reference(episodes, params, cfg, encoder) -> dict[str, np.ndarray]:
     """The same quantities as the batched path, from single-episode calls:
     results stacked in episode order, the loss summed in that order, and
     the gradients of that loss taken on one tape."""
@@ -187,8 +186,8 @@ def batch_loop_reference(episodes, params, pcfg, encoder) -> dict[str, np.ndarra
     for ep in episodes:
         enc_s, enc_q = encoder.encode(ep.support_img), encoder.encode(ep.query_img)
         mask_f = downsample_mask(ep.support_mask, encoder.stride)
-        prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, tracked, pcfg)
-        probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.tau)
+        prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, tracked, cfg)
+        probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.tau)
         row = {"pos": prompts.pos, "pseudo": pseudo, "probs": probs}
         if prompts.neg is not None:
             row["neg"] = prompts.neg
@@ -236,14 +235,13 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
     def trial(t: int) -> str | None:
         variant = BATCH_VARIANTS[t % len(BATCH_VARIANTS)]
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 4, t), canvas=8, **variant)
-        pcfg = cfg.pipeline_config()
-        encoder = pcfg.encoder(cfg.seed)
-        params = init_params(pcfg, cfg.seed)
+        encoder = cfg.encoder(cfg.seed)
+        params = init_params(cfg, cfg.seed)
         b = int(rng.integers(1, max_batch + 1))
         episodes = [gen_episode(int(rng.integers(0, CLASS_COUNT)),
                                 derive_seed(cfg.seed, tag("oracle"), i), (8, 8)) for i in range(b)]
-        devs = batch_deviations(batch_run(episodes, params, pcfg, encoder),
-                                batch_loop_reference(episodes, params, pcfg, encoder))
+        devs = batch_deviations(batch_run(episodes, params, cfg, encoder),
+                                batch_loop_reference(episodes, params, cfg, encoder))
         worst = max(devs, key=devs.get)
         problems = [f"{worst} deviates by {devs[worst]:.3e}"] if devs[worst] > BATCH_TOL else []
 
@@ -263,7 +261,7 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
     return _run_trials("batch", trials, trial)
 
 
-def tube_loop_reference(tube, support_img, support_mask, params, pcfg, encoder
+def tube_loop_reference(tube, support_img, support_mask, params, cfg, encoder
                         ) -> tuple[np.ndarray, list[float], list[float]]:
     """Predicted masks [T, H, W] and per-frame J and F of first-frame
     propagation, one frame at a time: each frame encoded alone (frame 0 once
@@ -271,10 +269,10 @@ def tube_loop_reference(tube, support_img, support_mask, params, pcfg, encoder
     ``boundary_f``."""
     mask_feat = downsample_mask(support_mask, encoder.stride)
     prompts, _ = generate_prompts(encoder.encode(support_img), encoder.encode(tube.frames[0]),
-                                  mask_feat, params, pcfg)
+                                  mask_feat, params, cfg)
     masks, js, fs = [], [], []
     for frame, gt in zip(tube.frames, tube.masks):
-        probs = decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, pcfg.tau)
+        probs = decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, cfg.tau)
         mask = binarize(upsample_map(probs, encoder.stride))
         masks.append(mask.data)
         js.append(iou(mask, gt))
@@ -301,15 +299,14 @@ def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
         frames, canvas, stride, neg = TUBE_CASES[t % len(TUBE_CASES)]
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 5, t), canvas=canvas,
                           stride=stride, use_neg_branch=neg)
-        pcfg = cfg.pipeline_config()
-        encoder = pcfg.encoder(cfg.seed)
-        params = init_params(pcfg, cfg.seed)
+        encoder = cfg.encoder(cfg.seed)
+        params = init_params(cfg, cfg.seed)
         ep = gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
                          (canvas, canvas))
         tube = make_tube(ep, frames, int(rng.integers(0, 2**31)))
-        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, pcfg, encoder)
+        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
         want_masks, want_j, want_f = tube_loop_reference(tube, ep.support_img, ep.support_mask,
-                                                         params, pcfg, encoder)
+                                                         params, cfg, encoder)
         js, fs = mask_scores(pred.masks, tube.masks)
         report = jf_score(pred, tube)
         problems = []
@@ -405,7 +402,7 @@ def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteR
                                (h, w)) for _ in range(count or 1)]
             img = np.stack([ep.support_img.data if i % 2 else ep.query_img.data
                             for i, ep in enumerate(eps)]).reshape(shape)
-        encoder = StubEncoder(int(rng.integers(0, 2**31)), stride=stride)
+        encoder = TrainConfig(seed=0, stride=stride).encoder(int(rng.integers(0, 2**31)))
         got = encoder.encode(Tensor(img), batched=count is not None)
         want = project_reference(encoder, descriptors_reference(img), shape)
         differ = [name for name, ref in zip(("mid", "high", "sam"), want)

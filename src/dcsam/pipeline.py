@@ -31,6 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionBlock, cross_attention, self_attention
+from .config import TrainConfig
 from .decoder import decode
 from .encoder import EncoderMaps, StubEncoder
 from .errors import EmptySupportMask, ShapeMismatch
@@ -38,33 +39,6 @@ from .seeding import rng_for, tag
 from .tensor import GradTape, Tensor, binarize, is_binary
 
 PSEUDO_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Widths, query count, and ablation switches of the prompt generator."""
-
-    embed_dim: int = 12
-    n_queries: int = 25
-    mid_channels: int = 6
-    high_channels: int = 6
-    stride: int = 1
-    tau: float = 1.0
-    use_neg_branch: bool = True
-    use_sam_fusion: bool = True
-    use_cyc_bias: bool = True
-    use_prior_mask: bool = True
-
-    @property
-    def fusion_in(self) -> int:
-        # feature + pooled broadcast + SAM channels + one reserved prior slot
-        return 2 * self.mid_channels + self.embed_dim + 1
-
-    def encoder(self, seed: int) -> StubEncoder:
-        # The SAM-like width doubles as the prompt width: the decoder scores
-        # prompts directly against that map.
-        return StubEncoder(seed, d_mid=self.mid_channels, d_high=self.high_channels,
-                           d_sam=self.embed_dim, stride=self.stride)
 
 
 @dataclass(frozen=True)
@@ -103,11 +77,13 @@ class ModelParams:
                    e_pos=named["e_pos"], e_neg=named["e_neg"])
 
 
-def init_params(cfg: PipelineConfig, seed: int) -> ModelParams:
+def init_params(cfg: TrainConfig, seed: int) -> ModelParams:
     """Weight matrices are unit-Gaussian draws scaled by 1/sqrt(fan-in); the
     query embeddings stay at unit scale so their attention patterns differ
     from the start (tiny queries collapse every prompt onto one mixture)."""
     d, n = cfg.embed_dim, cfg.n_queries
+    # fusion input: feature + pooled broadcast + SAM channels + one reserved prior slot
+    fusion_in = 2 * cfg.mid_channels + d + 1
     rng = rng_for(seed, tag("params"))
     scale_d = 1.0 / np.sqrt(d)
 
@@ -118,8 +94,8 @@ def init_params(cfg: PipelineConfig, seed: int) -> ModelParams:
         return AttentionBlock(wq=mat(d, d, d), wk=mat(d, d, d), wv=mat(d, d, d))
 
     return ModelParams(
-        fusion_w=mat(cfg.embed_dim, cfg.fusion_in, cfg.fusion_in),
-        fusion_b=Tensor(np.zeros(cfg.embed_dim)),
+        fusion_w=mat(d, fusion_in, fusion_in),
+        fusion_b=Tensor(np.zeros(d)),
         attn_support=block(), attn_query=block(), attn_self=block(),
         q_pos=Tensor(rng.normal(size=(n, d))),
         q_neg=Tensor(rng.normal(size=(n, d))),
@@ -251,7 +227,7 @@ def _as_tokens(fused: Tensor, hw: int) -> Tensor:
 
 
 def generate_prompts(support: EncoderMaps, query: EncoderMaps, support_mask: Tensor,
-                     params: ModelParams, cfg: PipelineConfig) -> tuple[PromptSet, Tensor]:
+                     params: ModelParams, cfg: TrainConfig) -> tuple[PromptSet, Tensor]:
     """Run both branches and return (labeled prompt set, pseudo query mask).
 
     ``support_mask`` is binary at the feature resolution. The pseudo mask is
@@ -337,7 +313,7 @@ def upsample_map(t: Tensor, stride: int) -> Tensor:
 
 
 def infer_mask(support_img: Tensor, support_mask: Tensor, query_img: Tensor,
-               params: ModelParams, cfg: PipelineConfig, encoder: StubEncoder) -> Tensor:
+               params: ModelParams, cfg: TrainConfig, encoder: StubEncoder) -> Tensor:
     """Image-resolution probability map for one episode (inference path), or
     for each episode of stacked images and masks [B, H, W]."""
     batched = support_img.ndim == 3

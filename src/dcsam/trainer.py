@@ -15,8 +15,8 @@ from .episodes import Episode, FoldSplit, gen_episode
 from .errors import CheckpointMissing, ConfigError, DivergenceDetected, EmptyReport, IoError
 from .losses import total_loss
 from .metrics import MetricReport, mask_scores
-from .pipeline import (ModelParams, PipelineConfig, PromptSet, downsample_mask,
-                       generate_prompts, infer_mask, init_params, watch_params)
+from .pipeline import (ModelParams, PromptSet, downsample_mask, generate_prompts, infer_mask,
+                       init_params, watch_params)
 from .decoder import decode
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, grad
@@ -109,26 +109,26 @@ def _mean_loss(probs: Tensor, target: Tensor) -> Tensor:
 
 
 def batch_forward(enc_s: EncoderMaps, enc_q: EncoderMaps, mask_f: Tensor, gt_f: Tensor,
-                  params: ModelParams, pcfg: PipelineConfig
+                  params: ModelParams, cfg: TrainConfig
                   ) -> tuple[PromptSet, Tensor, Tensor, Tensor]:
     """The training forward of a stacked batch: prompts, pseudo masks,
     probabilities [B, h, w] and the batch mean of the combined loss."""
-    prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, params, pcfg)
-    probs = decode(prompts.pos, prompts.neg, enc_q.sam, pcfg.tau)
+    prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, params, cfg)
+    probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.tau)
     return prompts, pseudo, probs, _mean_loss(probs, gt_f)
 
 
 def tube_loss(support_img: Tensor, support_mask: Tensor, tube: MaskTube,
-              params: ModelParams, pcfg: PipelineConfig, encoder: StubEncoder) -> Tensor:
+              params: ModelParams, cfg: TrainConfig, encoder: StubEncoder) -> Tensor:
     """Mean over the tube's frames of the combined loss of decoding each
     frame with the prompts generated on frame 0. The frames run as one
     stack, frame 0's maps come from it, and the prompts are shared by all
     of them."""
     frames = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
     prompts, _ = generate_prompts(encoder.encode(support_img), frames.at(0),
-                                  downsample_mask(support_mask, encoder.stride), params, pcfg)
+                                  downsample_mask(support_mask, encoder.stride), params, cfg)
     masks = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), encoder.stride)
-    probs = decode(prompts.pos, prompts.neg, frames.sam, pcfg.tau)
+    probs = decode(prompts.pos, prompts.neg, frames.sam, cfg.tau)
     return _mean_loss(probs, masks)
 
 
@@ -142,9 +142,8 @@ def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
     """Train on the fold's training classes: ``steps`` steps on ``batch``
     stacked episodes, then ``tube_steps`` steps on the stacked frames of a
     mask tube, under one optimizer schedule and one step routine."""
-    pcfg = cfg.pipeline_config()
-    encoder = pcfg.encoder(cfg.seed)
-    params = init_params(pcfg, cfg.seed)
+    encoder = cfg.encoder(cfg.seed)
+    params = init_params(cfg, cfg.seed)
     opt = AdamW(cfg.lr, cfg.steps + cfg.tube_steps, cfg.weight_decay)
     sampler = rng_for(cfg.seed, tag("sampler"))
     canvas = (cfg.canvas, cfg.canvas)
@@ -160,12 +159,12 @@ def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
 
     def image_step(tracked: ModelParams) -> Tensor:
         episodes = [draw_episode() for _ in range(cfg.batch)]
-        return batch_forward(*encode_episodes(episodes, encoder), tracked, pcfg)[3]
+        return batch_forward(*encode_episodes(episodes, encoder), tracked, cfg)[3]
 
     def tube_step(tracked: ModelParams) -> Tensor:
         ep = draw_episode()
         tube = make_tube(ep, cfg.tube_frames, derive_seed(cfg.seed, tag("tube"), counter))
-        return tube_loss(ep.support_img, ep.support_mask, tube, tracked, pcfg, encoder)
+        return tube_loss(ep.support_img, ep.support_mask, tube, tracked, cfg, encoder)
 
     for step_loss in [image_step] * cfg.steps + [tube_step] * cfg.tube_steps:
         tape = GradTape()
@@ -195,8 +194,7 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
         raise EmptyReport("fold has no test classes")
     if n < 1:
         raise EmptyReport("evaluation needs at least one episode per class")
-    pcfg = cfg.pipeline_config()
-    encoder = pcfg.encoder(cfg.seed)
+    encoder = cfg.encoder(cfg.seed)
     canvas = (cfg.canvas, cfg.canvas)
 
     jobs = [(cls, i) for cls in fold.test_classes for i in range(n)]
@@ -207,7 +205,7 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
         episodes = [gen_episode(cls, derive_seed(cfg.seed, tag("eval"), cls, i), canvas)
                     for cls, i in chunk]
         support_img, support_mask, query_img, _ = stack_episodes(episodes)
-        preds = binarize(infer_mask(support_img, support_mask, query_img, params, pcfg, encoder))
+        preds = binarize(infer_mask(support_img, support_mask, query_img, params, cfg, encoder))
         js, fs = mask_scores(preds.data, [ep.query_mask for ep in episodes])
         for (cls, _i), j in zip(chunk, js.tolist()):
             per_class[cls].append(j)
@@ -230,7 +228,7 @@ class GradCheckResult:
         return self.worst < FD_THRESHOLD
 
 
-def grad_check(params: ModelParams, ep: Episode, pcfg: PipelineConfig, encoder: StubEncoder,
+def grad_check(params: ModelParams, ep: Episode, cfg: TrainConfig, encoder: StubEncoder,
                samples_per_param: int = 5, seed: int = 0) -> GradCheckResult:
     """Compare tape gradients against central differences on one episode.
 
@@ -241,7 +239,7 @@ def grad_check(params: ModelParams, ep: Episode, pcfg: PipelineConfig, encoder: 
     inputs = encode_episodes([ep], encoder)     # a batch of one
 
     def loss_at(p: ModelParams) -> Tensor:
-        return batch_forward(*inputs, p, pcfg)[3]
+        return batch_forward(*inputs, p, cfg)[3]
 
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)
@@ -292,10 +290,8 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
         cfg = load_config(cfg_path)
     except ConfigError as err:
         raise IoError(f"{cfg_path}: {err}") from err
-    step = read_fields(opt_path, ("step",)).get("step")
-    if step is None:
-        raise CheckpointMissing(f"{opt_path} does not record a step count")
-    template = init_params(cfg.pipeline_config(), seed=0)
+    step = read_fields(opt_path, ("step",))["step"]
+    template = init_params(cfg, seed=0)
     named: dict[str, Tensor] = {}
     for name, ref in template.named().items():
         path = directory / f"{name}.dcst"

@@ -35,10 +35,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def read_fields(path: str | Path, keys: tuple[str, ...],
                 other: Callable[[str], bool] | None = None) -> dict[str, int]:
     """The ``key = integer`` fields of a metadata file, skipping blank and ``#``
-    lines. A line of any other form goes to ``other``, which returns whether
-    it took it. An unreadable or undecodable file, a malformed line, a key
-    outside ``keys`` or a repeated key raises IoError naming the file; the
-    caller checks which keys must be present."""
+    lines; every key of ``keys`` must be present. A line of any other form
+    goes to ``other``, which returns whether it took it. An unreadable or
+    undecodable file, a malformed line, a key outside ``keys``, a repeated
+    key or a missing one raises IoError naming the file."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -60,4 +60,7 @@ def read_fields(path: str | Path, keys: tuple[str, ...],
         if key in fields:
             raise IoError(f"{path}: repeated key {key!r}")
         fields[key] = int(m.group(2))
+    for key in keys:
+        if key not in fields:
+            raise IoError(f"{path}: missing key {key!r}")
     return fields

@@ -32,7 +32,8 @@ from .encoder import StubEncoder
 from .episodes import Episode, grid
 from . import dcst
 from .errors import FrameCountMismatch, IoError, ShapeMismatch
-from .pipeline import ModelParams, PipelineConfig, downsample_mask, generate_prompts, upsample_map
+from .config import TrainConfig
+from .pipeline import ModelParams, downsample_mask, generate_prompts, upsample_map
 from .decoder import decode
 from .seeding import rng_for, tag
 from .tensor import Tensor, binarize, is_binary
@@ -66,8 +67,9 @@ class MaskTube:
     For synthetic tubes every mask is exactly the base mask warped by its
     frame's transform, by construction. Predicted tubes keep the source
     frames and transforms but carry model masks. ``validate`` checks the
-    schema (counts, shapes, binary masks, identity frame 0) where a tube is
-    saved or propagated; ``load_tube`` checks the same of the files it reads.
+    schema (counts, shapes, binary masks, identity frame 0, finite positive
+    scales) where a tube is saved or propagated; ``load_tube`` checks the
+    same of the files it reads.
     """
 
     frames: tuple[Tensor, ...]
@@ -87,11 +89,13 @@ class MaskTube:
         if len(self.frames) < 1:
             raise FrameCountMismatch("a tube needs at least one frame")
         shape = self.frames[0].shape
-        for fr, mk in zip(self.frames, self.masks):
+        for t, (fr, mk, spec) in enumerate(zip(self.frames, self.masks, self.transforms)):
             if fr.shape != shape or mk.shape != shape:
                 raise ShapeMismatch("tube frames and masks must share one shape")
             if not is_binary(mk.data):
                 raise ValueError("tube masks must be binary")
+            if not 0.0 < spec.scale < math.inf:
+                raise ValueError(f"frame {t} has scale {spec.scale}, not finite and positive")
         if not self.transforms[0].is_identity():
             raise ValueError("frame 0 must carry the identity transform")
 
@@ -166,7 +170,7 @@ def make_tube(ep: Episode, t_frames: int, seed: int, *,
 
 
 def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Tensor,
-                          params: ModelParams, cfg: PipelineConfig,
+                          params: ModelParams, cfg: TrainConfig,
                           encoder: StubEncoder) -> MaskTube:
     """Freeze the labeled prompts on frame 0, then decode every frame with them.
 
@@ -231,9 +235,6 @@ def load_tube(directory: str | Path) -> MaskTube:
         return True
 
     fields = read_fields(meta_path, _META_KEYS, transform_line)
-    for key in _META_KEYS:
-        if key not in fields:
-            raise IoError(f"{meta_path}: missing key {key!r}")
     count = fields["frames"]
     if count < 1:
         raise IoError(f"{meta_path}: frame count {count} is below 1")

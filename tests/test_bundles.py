@@ -154,6 +154,17 @@ def test_metadata_grammar_errors_name_the_file(tmp_path, make, extra, word):
         load()
 
 
+@pytest.mark.parametrize("make, key", [(_episode_bundle, "seed"), (_tube_bundle, "frames"),
+                                       (_checkpoint, "step")],
+                         ids=["episode-meta", "tube-meta", "optimizer"])
+def test_a_missing_key_raises_io_error_naming_the_file_and_the_key(tmp_path, make, key):
+    path, load = make(tmp_path / "bundle")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith(f"{key} =")))
+    with pytest.raises(IoError, match=re.escape(f"{path}: missing key {key!r}")):
+        load()
+
+
 @pytest.mark.parametrize("count", [0, 10 ** 15])
 def test_tube_frame_count_checked_against_the_transform_log(tmp_path, count):
     path, load = _tube_bundle(tmp_path / "bundle")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcsam.config import (
     ABLATION_TOKENS,
@@ -9,6 +11,7 @@ from dcsam.config import (
     parse_config_text,
 )
 from dcsam.errors import ConfigError, IoError
+from dcsam.pipeline import init_params
 
 
 BASE = TrainConfig(lr=0.01, steps=50, batch=4, seed=7)
@@ -78,6 +81,9 @@ def test_value_validation():
         TrainConfig(lr=0.1, steps=1, batch=1, seed=0, canvas=15, stride=2)
     with pytest.raises(ConfigError, match="tau"):
         TrainConfig(lr=0.1, steps=1, batch=1, seed=0, tau=0.0)
+    for key in ("embed_dim", "n_queries", "mid_channels", "high_channels", "stride"):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(seed=0, **{key: 0})
 
 
 @pytest.mark.parametrize("key", ["lr", "weight_decay", "tau"])
@@ -114,11 +120,43 @@ def test_apply_ablation_unknown_token():
     assert set(ABLATION_TOKENS) == {"no-neg", "no-sam", "no-cyc", "no-prior"}
 
 
-def test_pipeline_config_mirrors_switches():
-    cfg = TrainConfig(lr=0.1, steps=1, batch=1, seed=0,
-                      embed_dim=8, n_queries=9, use_prior_mask=False)
-    pcfg = cfg.pipeline_config()
-    assert pcfg.embed_dim == 8
-    assert pcfg.n_queries == 9
-    assert pcfg.use_prior_mask is False
-    assert pcfg.use_neg_branch is True
+def test_model_reads_its_widths_from_the_config():
+    cfg = TrainConfig(seed=0, canvas=12, embed_dim=8, n_queries=9, mid_channels=5,
+                      high_channels=7, stride=3)
+    assert cfg.pipeline_config() is cfg
+    enc = cfg.encoder(4)
+    assert (enc.seed, enc.d_mid, enc.d_high, enc.d_sam, enc.stride) == (4, 5, 7, 8, 3)
+    params = init_params(cfg, 4)
+    assert params.fusion_w.shape == (8, 2 * 5 + 8 + 1)
+    assert params.q_pos.shape == params.q_neg.shape == (9, 8)
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    """A TrainConfig with every field drawn over its legal range."""
+    stride = draw(st.integers(1, 16))
+    count = st.integers(1, 2 ** 31)
+    return TrainConfig(
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        lr=draw(st.floats(min_value=0.0, **FINITE)),
+        steps=draw(count), batch=draw(count),
+        weight_decay=draw(st.floats(min_value=0.0, **FINITE)),
+        canvas=stride * draw(st.integers(-(-8 // stride), 2 ** 20)),
+        embed_dim=draw(count), n_queries=draw(count),
+        mid_channels=draw(count), high_channels=draw(count), stride=stride,
+        tau=draw(st.floats(min_value=0.0, exclude_min=True, **FINITE)),
+        use_neg_branch=draw(st.booleans()), use_sam_fusion=draw(st.booleans()),
+        use_cyc_bias=draw(st.booleans()), use_prior_mask=draw(st.booleans()),
+        eval_episodes_per_class=draw(count),
+        tube_steps=draw(st.integers(0, 2 ** 31)), tube_frames=draw(count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_config_text_round_trips(cfg):
+    text = config_text(cfg)
+    assert parse_config_text(text) == cfg
+    assert config_text(parse_config_text(text)) == text

@@ -31,7 +31,7 @@ def decode_loops(pos, neg, feats, tau):
 def test_equal_branches_give_exactly_half(rng):
     prompts = Tensor(rng.normal(size=(4, 5)))
     feats = Tensor(rng.normal(size=(5, 3, 3)))
-    out = decode(prompts, prompts, feats)
+    out = decode(prompts, prompts, feats, tau=1.0)
     assert np.array_equal(out.data, np.full((3, 3), 0.5))
 
 
@@ -48,7 +48,7 @@ def test_matches_scalar_reference(rng):
 def test_positive_only_mode(rng):
     pos = rng.normal(size=(3, 4))
     feats = rng.normal(size=(4, 3, 3))
-    got = decode(Tensor(pos), None, Tensor(feats))
+    got = decode(Tensor(pos), None, Tensor(feats), tau=1.0)
     want = decode_loops(pos, None, feats, 1.0)
     assert np.allclose(got.data, want, atol=1e-12)
 
@@ -67,7 +67,7 @@ def test_small_tau_approaches_best_prompt(rng):
 
 def test_output_range_and_shape(rng):
     out = decode(Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3))),
-                 Tensor(rng.normal(size=(3, 4, 5))))
+                 Tensor(rng.normal(size=(3, 4, 5))), tau=1.0)
     assert out.shape == (4, 5)
     assert (out.data > 0).all() and (out.data < 1).all()
 
@@ -75,11 +75,11 @@ def test_output_range_and_shape(rng):
 def test_shape_validation(rng):
     feats = Tensor(rng.normal(size=(4, 3, 3)))
     with pytest.raises(ShapeMismatch):
-        decode(Tensor(rng.normal(size=(3, 5))), None, feats)  # width 5 != 4
+        decode(Tensor(rng.normal(size=(3, 5))), None, feats, tau=1.0)  # width 5 != 4
     with pytest.raises(ShapeMismatch):
-        decode(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 5))), feats)
+        decode(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 5))), feats, tau=1.0)
     with pytest.raises(ShapeMismatch):
-        decode(Tensor(rng.normal(size=(3, 4))), None, Tensor(rng.normal(size=(4, 9))))
+        decode(Tensor(rng.normal(size=(3, 4))), None, Tensor(rng.normal(size=(4, 9))), tau=1.0)
     for tau in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):
             decode(Tensor(rng.normal(size=(3, 4))), None, feats, tau=tau)
@@ -96,7 +96,7 @@ def test_gradients_flow_to_prompts(rng):
     for use_neg in (True, False):
         tape = GradTape()
         pos = tape.watch(Tensor(pos_data))
-        loss = T.sum_all(decode(pos, neg if use_neg else None, feats))
+        loss = T.sum_all(decode(pos, neg if use_neg else None, feats, tau=1.0))
         g = grad(tape, loss)[pos].data
         assert np.abs(g).max() > 0
 
@@ -104,7 +104,7 @@ def test_gradients_flow_to_prompts(rng):
             def at(delta):
                 bumped = pos_data.copy()
                 bumped.reshape(-1)[c] += delta
-                out = decode(Tensor(bumped), neg if use_neg else None, feats)
+                out = decode(Tensor(bumped), neg if use_neg else None, feats, tau=1.0)
                 return float(out.data.sum())
 
             fd = (at(h) - at(-h)) / (2 * h)

@@ -5,12 +5,15 @@ from dcsam.encoder import StubEncoder
 from dcsam.errors import ShapeMismatch
 from dcsam.tensor import Tensor
 
+# The widths of a default config's encoder.
+WIDTHS = dict(d_mid=6, d_high=6, d_sam=12)
+
 
 def test_encode_shapes_and_determinism(rng):
     img = Tensor(rng.random((16, 16)))
-    enc = StubEncoder(seed=0, d_mid=5, d_high=7, d_sam=11)
+    enc = StubEncoder(seed=0, d_mid=5, d_high=7, d_sam=11, stride=1)
     maps_a = enc.encode(img)
-    maps_b = StubEncoder(seed=0, d_mid=5, d_high=7, d_sam=11).encode(img)
+    maps_b = StubEncoder(seed=0, d_mid=5, d_high=7, d_sam=11, stride=1).encode(img)
     assert maps_a.mid.shape == (5, 16, 16)
     assert maps_a.high.shape == (7, 16, 16)
     assert maps_a.sam.shape == (11, 16, 16)
@@ -20,38 +23,38 @@ def test_encode_shapes_and_determinism(rng):
 
 def test_different_seeds_give_different_features(rng):
     img = Tensor(rng.random((16, 16)))
-    a = StubEncoder(seed=0).encode(img)
-    b = StubEncoder(seed=1).encode(img)
+    a = StubEncoder(seed=0, **WIDTHS, stride=1).encode(img)
+    b = StubEncoder(seed=1, **WIDTHS, stride=1).encode(img)
     assert not np.array_equal(a.mid.data, b.mid.data)
 
 
 def test_features_are_bounded(rng):
-    maps = StubEncoder(seed=3).encode(Tensor(rng.random((16, 16))))
+    maps = StubEncoder(seed=3, **WIDTHS, stride=1).encode(Tensor(rng.random((16, 16))))
     for name in ("mid", "high", "sam"):
         data = getattr(maps, name).data
         assert np.abs(data).max() <= 1.0  # tanh squashed
 
 
 def test_features_are_constants(rng):
-    maps = StubEncoder(seed=3).encode(Tensor(rng.random((16, 16))))
+    maps = StubEncoder(seed=3, **WIDTHS, stride=1).encode(Tensor(rng.random((16, 16))))
     assert maps.mid.tape is None
     assert maps.sam.tape is None
 
 
 def test_stride_pools_spatial_size(rng):
     img = Tensor(rng.random((16, 16)))
-    enc = StubEncoder(seed=0, stride=2)
+    enc = StubEncoder(seed=0, **WIDTHS, stride=2)
     maps = enc.encode(img)
     assert maps.mid.shape[1:] == (8, 8)
     assert enc.stride == 2
 
 
 def test_encode_input_validation(rng):
-    enc = StubEncoder(seed=0, stride=2)
+    enc = StubEncoder(seed=0, **WIDTHS, stride=2)
     with pytest.raises(ShapeMismatch):
         enc.encode(Tensor(rng.random((15, 16))))  # not divisible by stride
     with pytest.raises(ShapeMismatch):
-        StubEncoder(seed=0).encode(Tensor(rng.random((4, 4, 4))))
+        StubEncoder(seed=0, **WIDTHS, stride=1).encode(Tensor(rng.random((4, 4, 4))))
 
 
 def test_position_channels_make_translation_visible():
@@ -60,7 +63,7 @@ def test_position_channels_make_translation_visible():
     img_b = np.zeros((16, 16))
     img_a[2:6, 2:6] = 1.0
     img_b[10:14, 10:14] = 1.0
-    enc = StubEncoder(seed=0)
+    enc = StubEncoder(seed=0, **WIDTHS, stride=1)
     a = enc.encode(Tensor(img_a)).mid.data
     b = enc.encode(Tensor(img_b)).mid.data
     assert not np.array_equal(a, b)

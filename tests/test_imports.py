@@ -1,0 +1,33 @@
+import subprocess
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dcsam"
+
+# Imports each named module as the first module of a bare ``dcsam`` package,
+# so that no module is loaded because ``__init__`` happened to load it first.
+PROBE = """
+import importlib, sys, types
+failed = []
+for name in sys.argv[2:]:
+    for key in [k for k in sys.modules if k == "dcsam" or k.startswith("dcsam.")]:
+        del sys.modules[key]
+    package = types.ModuleType("dcsam")
+    package.__path__ = [sys.argv[1]]
+    package.__version__ = "0"  # the one name a module reads from the package (cli)
+    sys.modules["dcsam"] = package
+    try:
+        importlib.import_module("dcsam." + name)
+    except Exception as err:
+        failed.append(f"{name}: {type(err).__name__}: {err}")
+print("\\n".join(failed))
+"""
+
+
+def test_every_module_imports_on_its_own():
+    # __init__ imports the package in one order, and __main__ runs the CLI
+    names = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(PACKAGE), *names],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert {"config", "pipeline", "cli"} <= set(names)
+    assert proc.stdout.strip() == ""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dcsam import tensor as T
+from dcsam.config import TrainConfig
 from dcsam.decoder import decode
 from dcsam.encoder import EncoderMaps, StubEncoder
 from dcsam.episodes import gen_episode
@@ -15,7 +16,6 @@ from dcsam.errors import EmptySupportMask, ShapeMismatch
 from dcsam.losses import total_loss
 from dcsam.pipeline import (
     ModelParams,
-    PipelineConfig,
     downsample_mask,
     fuse,
     generate_prompts,
@@ -31,7 +31,7 @@ from dcsam.pipeline import (
 from dcsam.tensor import GradTape, Tensor, grad
 
 
-CFG = PipelineConfig(embed_dim=6, n_queries=4, mid_channels=3, high_channels=3)
+CFG = TrainConfig(seed=0, embed_dim=6, n_queries=4, mid_channels=3, high_channels=3)
 
 
 def encode_episode(ep, cfg=CFG, seed=0):

@@ -294,7 +294,7 @@ def test_checkpoint_optimizer_step_parsed(tmp_path):
     result = train(TINY, FOLD)
     save_checkpoint(tmp_path / "ckpt", result.params, TINY, 4)
     (tmp_path / "ckpt" / "optimizer.txt").write_text("# nothing here\n")
-    with pytest.raises(CheckpointMissing):
+    with pytest.raises(IoError, match=r"optimizer\.txt: missing key 'step'"):
         load_checkpoint(tmp_path / "ckpt")
     (tmp_path / "ckpt" / "optimizer.txt").write_text("# saved by hand\n\n  step = 7\n")
     assert load_checkpoint(tmp_path / "ckpt")[2] == 7

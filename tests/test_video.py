@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -204,6 +205,16 @@ def test_load_tube_rejects_a_moved_frame_zero_naming_the_file(tmp_path):
     meta.write_text(meta.read_text().replace("\n0 0 0 0 1.0\n", "\n0 1 0 0 1.0\n"))
     with pytest.raises(IoError, match=f"{re.escape(str(meta))}.*frame 0 must carry the identity"):
         load_tube(tmp_path / "tube")
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_save_tube_refuses_a_scale_that_load_tube_refuses(tmp_path, scale):
+    tube = make_tube(gen_episode(9, 33, (16, 16)), 3, seed=21)
+    bad = dataclasses.replace(tube, transforms=tube.transforms[:2] + (
+        dataclasses.replace(tube.transforms[2], scale=scale),))
+    with pytest.raises(ValueError, match="frame 2 has scale"):
+        save_tube(tmp_path / "tube", bad)
+    assert not (tmp_path / "tube" / "meta.txt").exists()
 
 
 @pytest.mark.parametrize("scale", [1e-05, 2.5e16])
