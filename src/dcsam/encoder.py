@@ -8,6 +8,9 @@ random projection of cheap local image statistics, deterministic per
   * ``high`` - drives the prior mask (cosine similarity space),
   * ``sam``  - independent projection, consumed by fusion and the decoder.
 
+Video frames after frame 0 only feed the decoder, so ``encode_frames``
+projects them to ``sam`` alone.
+
 The statistics are 15 per pixel: intensity, the 3x3 mean, max, min and
 deviation, the 5x5 and 7x7 means and deviations, the residual from the 3x3
 mean, two gradients, two coordinates and a constant. Windows are shifted
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .seeding import rng_for, tag
-from .tensor import Tensor
+from .tensor import Tensor, adopt
 
 _ROLE_MID = 0
 _ROLE_HIGH = 1
@@ -37,10 +40,6 @@ class EncoderMaps:
     mid: Tensor   # [d_mid, H, W]
     high: Tensor  # [d_high, H, W]
     sam: Tensor   # [d_sam, H, W]
-
-    def at(self, i: int) -> EncoderMaps:
-        """Maps of image ``i`` of a stack encoded with ``batched=True``."""
-        return EncoderMaps(*(Tensor(m.data[i]) for m in (self.mid, self.high, self.sam)))
 
 
 class StubEncoder:
@@ -66,29 +65,53 @@ class StubEncoder:
         """Maps of one image [H, W], or with ``batched`` of each image of a
         stack [B, H, W] (every map then gains the leading batch axis). The
         stack is opt-in so that a multi-channel image is still rejected."""
-        if image.ndim != 2 + batched:
-            shape = "a stack [B, H, W]" if batched else "a grayscale image [H, W]"
-            raise ShapeMismatch(f"encoder expects {shape}, got {image.shape}")
-        h, w = image.shape[-2:]
-        if h % self.stride or w % self.stride:
-            raise ShapeMismatch(f"image {image.shape} is not divisible by stride {self.stride}")
+        self._check(image.shape, batched)
         return self.project(_descriptors(image.data), image.shape)
+
+    def encode_frames(self, frames: np.ndarray, first: bool) -> tuple[EncoderMaps | None, Tensor]:
+        """Frame 0's three maps when ``first`` (else None) and the ``sam``
+        maps [T, d_sam, ...] of a stack of finite video frames [T, H, W],
+        from one descriptor pass. Later frames only feed the decoder, so
+        their ``mid`` and ``high`` are never projected; stacked ``matmul``
+        runs one product per image, so every map has ``encode``'s bits."""
+        self._check(frames.shape, True)
+        desc = _descriptors(frames)
+        (sam,) = self._project(desc, frames.shape, ((self.d_sam, self._w_sam),))
+        if not first:
+            return None, sam
+        mid, high = self._project(desc[0], frames.shape[1:], ((self.d_mid, self._w_mid),
+                                                               (self.d_high, self._w_high)))
+        return EncoderMaps(mid=mid, high=high, sam=adopt(sam.data[0])), sam
+
+    def _check(self, shape: tuple[int, ...], batched: bool) -> None:
+        if len(shape) != 2 + batched:
+            want = "a stack [B, H, W]" if batched else "a grayscale image [H, W]"
+            raise ShapeMismatch(f"encoder expects {want}, got {shape}")
+        h, w = shape[-2:]
+        if h % self.stride or w % self.stride:
+            raise ShapeMismatch(f"image {shape} is not divisible by stride {self.stride}")
 
     def project(self, desc: np.ndarray, shape: tuple[int, ...]) -> EncoderMaps:
         """The three maps of images of ``shape`` ([H, W] or [B, H, W]) from
         their descriptors [..., HW, 15]."""
+        mid, high, sam = self._project(desc, shape, ((self.d_mid, self._w_mid),
+                                                     (self.d_high, self._w_high),
+                                                     (self.d_sam, self._w_sam)))
+        return EncoderMaps(mid=mid, high=high, sam=sam)
+
+    def _project(self, desc: np.ndarray, shape: tuple[int, ...], projections) -> list[Tensor]:
+        """One map per (width, projection) pair, in order."""
         lead = shape[:-2]
         h, w = shape[-2:]
         maps = []
-        for width, proj in ((self.d_mid, self._w_mid), (self.d_high, self._w_high),
-                            (self.d_sam, self._w_sam)):
+        for width, proj in projections:
             feat = np.tanh(desc @ proj)                       # [..., HW, d]
             feat = np.swapaxes(feat, -1, -2).reshape(lead + (width, h, w))
             if self.stride > 1:
                 s = self.stride
                 feat = feat.reshape(lead + (width, h // s, s, w // s, s)).mean(axis=(-3, -1))
             maps.append(Tensor(feat))
-        return EncoderMaps(mid=maps[0], high=maps[1], sam=maps[2])
+        return maps
 
 
 _PAD = 3  # the widest window's radius: every window is a set of slices of one pad

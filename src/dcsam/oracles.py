@@ -378,22 +378,29 @@ def project_reference(encoder: StubEncoder, desc: np.ndarray, shape: tuple[int, 
 ENCODER_CASES = tuple(itertools.product(
     ((8, 8), (12, 12), (16, 16), (32, 32), (16, 24)), (None, 1, 3, 32), (1, 2),
     ("episode", "uniform")))
+# Tube length, canvas and stride of the frame stacks ``encode_frames`` takes.
+FRAME_CASES = tuple(itertools.product((1, 3, 4, 5, 32), (16, 32), (1, 2)))
 
 
-def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteResult:
+def run_encoder_suite(trials: int = len(ENCODER_CASES) + len(FRAME_CASES), seed: int = 0
+                      ) -> SuiteResult:
     """``StubEncoder.encode`` against ``project_reference`` of the
-    stacked-window reference descriptors.
+    stacked-window reference descriptors, then ``encode_frames`` against
+    ``encode``.
 
-    Trial t runs case ``ENCODER_CASES[t % len(ENCODER_CASES)]`` with a
-    random encoder seed. Episode images lie on a 1/1024 grid, so their
-    window sums are exact in any order; uniform random images are not, so
-    they also pin the order of every sum. All three maps must have equal
-    bytes.
+    Trial t runs case ``t % (len(ENCODER_CASES) + len(FRAME_CASES))`` of the
+    two tables in turn, with a random encoder seed. Episode images lie on a
+    1/1024 grid, so their window sums are exact in any order; uniform random
+    images are not, so they also pin the order of every sum. All three maps
+    must have equal bytes. A frame case encodes the frames of a random tube:
+    frame 0's three maps must have the bytes of ``encode(frames[0])``, and
+    the ``sam`` maps of every frame, with and without frame 0's maps, those
+    of ``encode(frames, batched=True)``.
     """
     rng = rng_for(seed, tag("oracle"), 6)
 
-    def trial(t: int) -> str | None:
-        (h, w), count, stride, source = ENCODER_CASES[t % len(ENCODER_CASES)]
+    def image_trial(t: int, case) -> str | None:
+        (h, w), count, stride, source = case
         shape = (h, w) if count is None else (count, h, w)
         if source == "uniform":
             img = rng.random(shape)
@@ -411,6 +418,33 @@ def run_encoder_suite(trials: int = len(ENCODER_CASES), seed: int = 0) -> SuiteR
             return (f"trial {t} (shape {shape}, stride {stride}, {source} images): "
                     f"{', '.join(differ)} maps differ")
         return None
+
+    def frame_trial(t: int, case) -> str | None:
+        frames, canvas, stride = case
+        ep = gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
+                         (canvas, canvas))
+        tube = make_tube(ep, frames, int(rng.integers(0, 2**31)))
+        stack = np.stack([f.data for f in tube.frames])
+        encoder = TrainConfig(seed=0, stride=stride).encoder(int(rng.integers(0, 2**31)))
+        first, sam = encoder.encode_frames(stack, first=True)
+        _, later_sam = encoder.encode_frames(stack, first=False)
+        alone = encoder.encode(tube.frames[0])
+        stacked = encoder.encode(Tensor(stack), batched=True)
+        differ = [f"frame 0 {name}" for name in ("mid", "high", "sam")
+                  if getattr(first, name).data.tobytes() != getattr(alone, name).data.tobytes()]
+        differ += [f"stacked sam{label}"
+                   for label, got in (("", sam), (" without frame 0", later_sam))
+                   if got.data.tobytes() != stacked.sam.data.tobytes()]
+        if differ:
+            return (f"trial {t} ({frames} frames, canvas {canvas}, stride {stride}): "
+                    f"{', '.join(differ)} maps differ")
+        return None
+
+    def trial(t: int) -> str | None:
+        i = t % (len(ENCODER_CASES) + len(FRAME_CASES))
+        if i < len(ENCODER_CASES):
+            return image_trial(t, ENCODER_CASES[i])
+        return frame_trial(t, FRAME_CASES[i - len(ENCODER_CASES)])
 
     return _run_trials("encoder", trials, trial)
 

@@ -124,11 +124,11 @@ def tube_loss(support_img: Tensor, support_mask: Tensor, tube: MaskTube,
     frame with the prompts generated on frame 0. The frames run as one
     stack, frame 0's maps come from it, and the prompts are shared by all
     of them."""
-    frames = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
-    prompts, _ = generate_prompts(encoder.encode(support_img), frames.at(0),
+    first, sam = encoder.encode_frames(np.stack([f.data for f in tube.frames]), first=True)
+    prompts, _ = generate_prompts(encoder.encode(support_img), first,
                                   downsample_mask(support_mask, encoder.stride), params, cfg)
     masks = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), encoder.stride)
-    probs = decode(prompts.pos, prompts.neg, frames.sam, cfg.tau)
+    probs = decode(prompts.pos, prompts.neg, sam, cfg.tau)
     return _mean_loss(probs, masks)
 
 

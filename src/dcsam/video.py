@@ -8,15 +8,19 @@ fixed grid, flip fixed per tube) and frame 0 is always the identity.
 Warp semantics (nearest neighbor, background fill 0): a destination pixel
 pulls from ``inv(p) = unscale(unflip(p - translation))`` where scaling is
 about the canvas center and flipping is horizontal. Masks warp with the
-same map, so they stay binary.
+same map, so they stay binary. ``make_tube`` draws every transform first,
+then pulls the image and the mask of frames 1.. through one stacked source
+map; ``warp`` is the one-transform case of the same code.
 
 Propagation (the in-context video setting) generates the prompts once, on
-frame 0, and decodes every frame with them. Frames go through the batched
-encoder and decoder in stacks of ``FRAME_CHUNK``; frame 0's maps come from
-the first stack, so no frame is encoded twice. The encoder is exact per
-image and shared-prompt decoding is exact per map, so the predicted masks
-equal those of a frame-by-frame loop bit for bit, while the chunk bounds
-the memory a long tube holds at once.
+frame 0, and decodes every frame with them. Frames go through the encoder
+and decoder in stacks of ``FRAME_CHUNK``. Only frame 0's ``mid`` and
+``high`` maps are ever read (for the prompts and the prior), so every frame
+is projected to ``sam`` and frame 0 alone, from the first stack's single
+descriptor pass, to all three maps (``StubEncoder.encode_frames``). The
+encoder is exact per image and shared-prompt decoding is exact per map, so
+the predicted masks equal those of a frame-by-frame loop bit for bit, while
+the chunk bounds the memory a long tube holds at once.
 """
 from __future__ import annotations
 
@@ -29,23 +33,25 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import StubEncoder
-from .episodes import Episode, grid
+from .episodes import Episode
 from . import dcst
 from .errors import FrameCountMismatch, IoError, ShapeMismatch
 from .config import TrainConfig
 from .pipeline import ModelParams, downsample_mask, generate_prompts, upsample_map
 from .decoder import decode
 from .seeding import rng_for, tag
-from .tensor import Tensor, binarize, is_binary
+from .tensor import Tensor, adopt, binarize, is_binary
 from .util import read_fields
 
 IDENTITY_SCALE = 1.0
 MAX_TRANSLATION_STEP = 2
 DEFAULT_SCALE_GRID = (0.9, 1.0, 1.1)
-# Frames encoded and decoded as one stack during propagation. At canvas 32,
-# 4 frames ran as fast per frame as 8 or 16 with the smallest working set;
-# a whole 32-frame tube at once faulted in fresh pages on every tube, ran
-# slower and raised peak RSS by about 20 MB.
+# Frames encoded and decoded as one stack during propagation. With 32-frame
+# tubes at canvas 32 (one thread, 15 s benchmark runs), stacks of 4, 8 and 16
+# ran within noise of each other (raw p50 1.32-1.43, 1.29-1.42 and
+# 1.28-1.34 ms per frame), while peak RSS grew by 1.0 and 2.4 MB at 8 and 16.
+# A whole tube at once ran 1.64 ms per frame, faulted in about 3,400 fresh
+# pages per tube and raised peak RSS by about 16 MB.
 FRAME_CHUNK = 4
 
 
@@ -89,11 +95,11 @@ class MaskTube:
         if len(self.frames) < 1:
             raise FrameCountMismatch("a tube needs at least one frame")
         shape = self.frames[0].shape
-        for t, (fr, mk, spec) in enumerate(zip(self.frames, self.masks, self.transforms)):
-            if fr.shape != shape or mk.shape != shape:
-                raise ShapeMismatch("tube frames and masks must share one shape")
-            if not is_binary(mk.data):
-                raise ValueError("tube masks must be binary")
+        if any(t.shape != shape for t in self.frames + self.masks):
+            raise ShapeMismatch("tube frames and masks must share one shape")
+        if not is_binary(np.stack([mk.data for mk in self.masks])):
+            raise ValueError("tube masks must be binary")
+        for t, spec in enumerate(self.transforms):
             if not 0.0 < spec.scale < math.inf:
                 raise ValueError(f"frame {t} has scale {spec.scale}, not finite and positive")
         if not self.transforms[0].is_identity():
@@ -102,29 +108,37 @@ class MaskTube:
 
 def warp(array: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """Nearest-neighbor warp of a 2-D array by (scale, flip, translate)."""
-    return _pull(array, _source_map(array.shape, spec))
+    return _pull(array, _source_map(array.shape, [spec]))[0]
 
 
-def _source_map(shape: tuple[int, int], spec: TransformSpec):
-    """Where each destination pixel of a warp pulls from: the mask of the
-    destinations whose source lies on the canvas, and those sources' rows
-    and columns."""
+def _source_map(shape: tuple[int, int], specs: Sequence[TransformSpec]):
+    """Where each destination pixel of each spec's warp pulls from: the
+    mask [K, H, W] of the destinations whose source lies on the canvas, and
+    those sources' rows and columns. A warp is separable, so source rows are
+    computed per destination row [K, H, 1] and source columns per column
+    [K, 1, W]; the arithmetic is elementwise, so each warp has the bits it
+    has alone."""
     h, w = shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = grid(h, w)
-    v = rr - spec.dy
-    u = cc - spec.dx
-    if spec.flip:
-        u = (w - 1) - u
-    src_r = np.floor((v - cy) / spec.scale + cy + 0.5).astype(np.int64)
-    src_c = np.floor((u - cx) / spec.scale + cx + 0.5).astype(np.int64)
-    inside = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-    return inside, src_r[inside], src_c[inside]
+
+    def per_spec(field: str, dtype) -> np.ndarray:
+        return np.array([getattr(spec, field) for spec in specs], dtype=dtype)[:, None, None]
+
+    v = np.arange(h)[:, None] - per_spec("dy", np.int64)
+    u = np.arange(w) - per_spec("dx", np.int64)
+    u = np.where(per_spec("flip", bool), (w - 1) - u, u)
+    scale = per_spec("scale", np.float64)
+    src_r = np.floor((v - cy) / scale + cy + 0.5).astype(np.int64)
+    src_c = np.floor((u - cx) / scale + cx + 0.5).astype(np.int64)
+    inside = ((src_r >= 0) & (src_r < h)) & ((src_c >= 0) & (src_c < w))
+    return (inside, np.broadcast_to(src_r, inside.shape)[inside],
+            np.broadcast_to(src_c, inside.shape)[inside])
 
 
 def _pull(array: np.ndarray, source_map) -> np.ndarray:
+    """The warps [K, H, W] of one 2-D array through a source map."""
     inside, rows, cols = source_map
-    out = np.zeros(array.shape)
+    out = np.zeros(inside.shape)
     out[inside] = array[rows, cols]
     return out
 
@@ -148,10 +162,6 @@ def make_tube(ep: Episode, t_frames: int, seed: int, *,
         raise ValueError(f"scale grid {scale_grid} must contain 1.0 (frame 0 is unwarped)")
     rng = rng_for(seed, tag("tube"), ep.class_id)
     flip = bool(rng.integers(0, 2)) if allow_flip else False
-    base_img = ep.query_img.data
-    base_mask = ep.query_mask.data
-    frames = [ep.query_img]
-    masks = [ep.query_mask]
     transforms = [TransformSpec(dx=0, dy=0, flip=False, scale=IDENTITY_SCALE)]
     dx = dy = 0
     scale_idx = scale_grid.index(IDENTITY_SCALE)
@@ -159,13 +169,12 @@ def make_tube(ep: Episode, t_frames: int, seed: int, *,
         dx += int(rng.integers(-MAX_TRANSLATION_STEP, MAX_TRANSLATION_STEP + 1))
         dy += int(rng.integers(-MAX_TRANSLATION_STEP, MAX_TRANSLATION_STEP + 1))
         if len(scale_grid) > 1:
-            scale_idx = int(np.clip(scale_idx + rng.integers(-1, 2), 0, len(scale_grid) - 1))
-        spec = TransformSpec(dx=dx, dy=dy, flip=flip, scale=scale_grid[scale_idx])
-        source = _source_map(base_img.shape, spec)
-        frames.append(Tensor(_pull(base_img, source)))
-        masks.append(Tensor(_pull(base_mask, source)))
-        transforms.append(spec)
-    return MaskTube(frames=tuple(frames), masks=tuple(masks), transforms=tuple(transforms),
+            scale_idx = min(max(scale_idx + int(rng.integers(-1, 2)), 0), len(scale_grid) - 1)
+        transforms.append(TransformSpec(dx=dx, dy=dy, flip=flip, scale=scale_grid[scale_idx]))
+    source = _source_map(ep.query_img.shape, transforms[1:])
+    frames = (ep.query_img,) + tuple(adopt(f) for f in _pull(ep.query_img.data, source))
+    masks = (ep.query_mask,) + tuple(adopt(m) for m in _pull(ep.query_mask.data, source))
+    return MaskTube(frames=frames, masks=masks, transforms=tuple(transforms),
                     class_id=ep.class_id, seed=int(seed))
 
 
@@ -187,11 +196,12 @@ def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Ten
     predicted: list[Tensor] = []
     for start in range(0, len(tube), FRAME_CHUNK):
         chunk = tube.frames[start:start + FRAME_CHUNK]
-        maps = encoder.encode(Tensor(np.stack([f.data for f in chunk])), batched=True)
+        first, sam = encoder.encode_frames(np.stack([f.data for f in chunk]),
+                                            first=prompts is None)
         if prompts is None:
-            prompts, _ = generate_prompts(enc_s, maps.at(0), mask_feat, params, cfg)
-        probs = decode(prompts.pos, prompts.neg, maps.sam, cfg.tau)
-        predicted.extend(Tensor(m) for m in binarize(upsample_map(probs, encoder.stride)).data)
+            prompts, _ = generate_prompts(enc_s, first, mask_feat, params, cfg)
+        probs = decode(prompts.pos, prompts.neg, sam, cfg.tau)
+        predicted.extend(adopt(m) for m in binarize(upsample_map(probs, encoder.stride)).data)
     return MaskTube(frames=tube.frames, masks=tuple(predicted), transforms=tube.transforms,
                     class_id=tube.class_id, seed=tube.seed)
 

@@ -48,7 +48,7 @@ def trained_run(fold0):
     """Baseline eval, 500-step default-config training, held-out eval, timed."""
     cfg = DEFAULT_CFG
     start = time.perf_counter()
-    baseline = evaluate(init_params(cfg.pipeline_config(), cfg.seed), cfg, fold0)
+    baseline = evaluate(init_params(cfg, cfg.seed), cfg, fold0)
     result = train(cfg, fold0)
     trained = evaluate(result.params, cfg, fold0)
     seconds = time.perf_counter() - start
@@ -90,12 +90,11 @@ def test_acceptance_2_all_foreground_reduction(capsys):
 
 def test_acceptance_3_gradient_suite(capsys, monkeypatch):
     cfg = TrainConfig(seed=5)
-    pcfg = cfg.pipeline_config()
-    params = init_params(pcfg, cfg.seed)
-    encoder = pcfg.encoder(cfg.seed)
+    params = init_params(cfg, cfg.seed)
+    encoder = cfg.encoder(cfg.seed)
     ep = grad_check_episode(cfg, canvas=8)
     start = time.perf_counter()
-    clean = grad_check(params, ep, pcfg, encoder, samples_per_param=5)
+    clean = grad_check(params, ep, cfg, encoder, samples_per_param=5)
     seconds = time.perf_counter() - start
 
     original = tensor_module._matmul_vjp
@@ -106,7 +105,7 @@ def test_acceptance_3_gradient_suite(capsys, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(tensor_module, "_matmul_vjp", corrupted)
-        control = grad_check(params, ep, pcfg, encoder, samples_per_param=5)
+        control = grad_check(params, ep, cfg, encoder, samples_per_param=5)
 
     ok = clean.passed and seconds < 60.0 and not control.passed
     _report(capsys, 3, ok,
@@ -194,8 +193,7 @@ def test_acceptance_7_directional_ablation(capsys, fold0):
 @pytest.mark.slow
 def test_acceptance_8_tube_coherence(capsys, trained_run, fold0):
     cfg = trained_run.cfg
-    pcfg = cfg.pipeline_config()
-    encoder = pcfg.encoder(cfg.seed)
+    encoder = cfg.encoder(cfg.seed)
     j_frames = np.zeros(8)
     for k in range(20):
         cls = fold0.test_classes[k % len(fold0.test_classes)]
@@ -204,7 +202,7 @@ def test_acceptance_8_tube_coherence(capsys, trained_run, fold0):
         tube = make_tube(ep, 8, derive_seed(cfg.seed, tag("tube"), k),
                          scale_grid=(1.0,), allow_flip=False)
         pred = propagate_first_frame(tube, ep.support_img, ep.support_mask,
-                                     trained_run.params, pcfg, encoder)
+                                     trained_run.params, cfg, encoder)
         for t in range(8):
             j_frames[t] += iou(pred.masks[t], tube.masks[t])
     j_frames /= 20

@@ -46,14 +46,13 @@ def recorded_biases(monkeypatch, run):
 @pytest.mark.parametrize("variant", BATCH_VARIANTS, ids=lambda v: ",".join(v) or "full")
 def test_batched_matches_episode_loop(monkeypatch, b, variant):
     cfg = TrainConfig(seed=17, canvas=8, **variant)
-    pcfg = cfg.pipeline_config()
-    encoder = pcfg.encoder(cfg.seed)
-    params = init_params(pcfg, cfg.seed)
+    encoder = cfg.encoder(cfg.seed)
+    params = init_params(cfg, cfg.seed)
     episodes = make_episodes(b, seed=b)
     got, got_bias = recorded_biases(monkeypatch,
-                                    lambda: batch_run(episodes, params, pcfg, encoder))
+                                    lambda: batch_run(episodes, params, cfg, encoder))
     want, want_bias = recorded_biases(
-        monkeypatch, lambda: batch_loop_reference(episodes, params, pcfg, encoder))
+        monkeypatch, lambda: batch_loop_reference(episodes, params, cfg, encoder))
     devs = batch_deviations(got, want)
     assert max(devs.values()) <= BATCH_TOL, devs
     # the batched run makes each of its calls once for the whole batch; the
@@ -96,21 +95,20 @@ def test_stack_episodes_equals_np_stack_and_shares_no_memory():
 
 def test_infer_mask_batched_matches_single():
     cfg = TrainConfig(seed=5, canvas=8, stride=2)
-    pcfg = cfg.pipeline_config()
-    encoder = pcfg.encoder(cfg.seed)
-    params = init_params(pcfg, cfg.seed)
+    encoder = cfg.encoder(cfg.seed)
+    params = init_params(cfg, cfg.seed)
     episodes = make_episodes(5)
     support_img, support_mask, query_img, _ = stack_episodes(episodes)
-    batched = infer_mask(support_img, support_mask, query_img, params, pcfg, encoder)
+    batched = infer_mask(support_img, support_mask, query_img, params, cfg, encoder)
     for ep, probs in zip(episodes, batched.data):
-        single = infer_mask(ep.support_img, ep.support_mask, ep.query_img, params, pcfg, encoder)
+        single = infer_mask(ep.support_img, ep.support_mask, ep.query_img, params, cfg, encoder)
         assert np.abs(single.data - probs).max() <= BATCH_TOL
 
 
 def test_evaluate_does_not_depend_on_the_chunk_size():
     fold = split_folds(class_registry(), 1)
     cfg = TrainConfig(seed=3, canvas=8, batch=1)
-    params = init_params(cfg.pipeline_config(), seed=0)
+    params = init_params(cfg, seed=0)
     reports = [evaluate(params, dataclasses.replace(cfg, batch=b), fold, episodes_per_class=3)
                for b in (1, 5, 64)]
     assert reports[0] == reports[1] == reports[2]
@@ -120,11 +118,10 @@ def test_evaluate_does_not_depend_on_the_chunk_size():
 
 def _prompt_inputs(b, canvas=8):
     cfg = TrainConfig(seed=2, canvas=canvas)
-    pcfg = cfg.pipeline_config()
-    encoder = pcfg.encoder(cfg.seed)
+    encoder = cfg.encoder(cfg.seed)
     episodes = make_episodes(b)
     support_img, support_mask, query_img, _ = stack_episodes(episodes)
-    return (pcfg, init_params(pcfg, cfg.seed), encoder.encode(support_img, batched=True),
+    return (cfg, init_params(cfg, cfg.seed), encoder.encode(support_img, batched=True),
             encoder.encode(query_img, batched=True), support_mask)
 
 
@@ -137,36 +134,36 @@ def single_episode(enc_s, enc_q, masks, k):
 
 @pytest.mark.parametrize("fill", [0.0, 1.0], ids=["empty-positive", "empty-negative"])
 def test_empty_support_mask_in_batch(fill):
-    pcfg, params, enc_s, enc_q, masks = _prompt_inputs(4)
+    cfg, params, enc_s, enc_q, masks = _prompt_inputs(4)
     bad = masks.data.copy()
     bad[2] = fill
     alone = single_episode(enc_s, enc_q, bad, 2)
     with pytest.raises(EmptySupportMask):
-        generate_prompts(*alone, params, pcfg)
+        generate_prompts(*alone, params, cfg)
     with pytest.raises(EmptySupportMask):
-        generate_prompts(enc_s, enc_q, Tensor(bad), params, pcfg)
+        generate_prompts(enc_s, enc_q, Tensor(bad), params, cfg)
 
 
 def test_non_binary_mask_in_batch():
-    pcfg, params, enc_s, enc_q, masks = _prompt_inputs(3)
+    cfg, params, enc_s, enc_q, masks = _prompt_inputs(3)
     bad = masks.data.copy()
     bad[1, 0, 0] = 0.5
     with pytest.raises(ValueError):
-        generate_prompts(*single_episode(enc_s, enc_q, bad, 1), params, pcfg)
+        generate_prompts(*single_episode(enc_s, enc_q, bad, 1), params, cfg)
     with pytest.raises(ValueError):
-        generate_prompts(enc_s, enc_q, Tensor(bad), params, pcfg)
+        generate_prompts(enc_s, enc_q, Tensor(bad), params, cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_value_in_one_episode_of_batch():
-    pcfg, params, enc_s, enc_q, masks = _prompt_inputs(3)
+    cfg, params, enc_s, enc_q, masks = _prompt_inputs(3)
     sam = enc_q.sam.data.copy()
     sam[1] *= 1e306     # finite input, but the decoder's products overflow
     enc_q = type(enc_q)(mid=enc_q.mid, high=enc_q.high, sam=Tensor(sam))
     with pytest.raises(FloatingPointError):
-        generate_prompts(*single_episode(enc_s, enc_q, masks.data, 1), params, pcfg)
+        generate_prompts(*single_episode(enc_s, enc_q, masks.data, 1), params, cfg)
     with pytest.raises(FloatingPointError):
-        generate_prompts(enc_s, enc_q, masks, params, pcfg)
+        generate_prompts(enc_s, enc_q, masks, params, cfg)
 
 
 def test_all_masked_row_in_one_episode(rng):

@@ -101,7 +101,7 @@ def test_tube_bundle_format_is_pinned(tmp_path):
 
 
 def test_checkpoint_format_is_pinned(tmp_path):
-    params = init_params(CFG.pipeline_config(), seed=0)
+    params = init_params(CFG, seed=0)
     save_checkpoint(tmp_path, params, CFG, 7)
     assert _files_under(tmp_path) == sorted(
         [f"{name}.dcst" for name in PARAM_NAMES] + ["optimizer.txt", "config.txt"])
@@ -121,7 +121,7 @@ def _tube_bundle(root):
 
 
 def _checkpoint(root):
-    save_checkpoint(root, init_params(CFG.pipeline_config(), seed=0), CFG, 4)
+    save_checkpoint(root, init_params(CFG, seed=0), CFG, 4)
     return root / "optimizer.txt", lambda: load_checkpoint(root)
 
 
@@ -181,7 +181,7 @@ def test_tube_frame_count_checked_against_the_transform_log(tmp_path, count):
                                     "ckpt/config.txt"])
 def test_undecodable_metadata_exits_three_naming_the_file(tmp_path, capsys, target):
     save_episode(tmp_path / "episode", gen_episode(0, 5, (8, 8)))
-    save_checkpoint(tmp_path / "ckpt", init_params(CFG.pipeline_config(), seed=0), CFG, 3)
+    save_checkpoint(tmp_path / "ckpt", init_params(CFG, seed=0), CFG, 3)
     path = tmp_path / target
     path.write_bytes(b"\xff" + path.read_bytes())
     capsys.readouterr()
@@ -225,7 +225,7 @@ def test_a_non_binary_mask_or_a_stray_shape_exits_three_naming_the_file(
     with pytest.raises(IoError, match=re.escape(str(path)) + ".*" + word):
         load()
     if kind == "episode":
-        save_checkpoint(tmp_path / "ckpt", init_params(CFG.pipeline_config(), seed=0), CFG, 3)
+        save_checkpoint(tmp_path / "ckpt", init_params(CFG, seed=0), CFG, 3)
         capsys.readouterr()
         assert main(["tube", "--ckpt", str(tmp_path / "ckpt"), "--episode",
                      str(tmp_path / "bundle"), "--frames", "2", "--out", str(tmp_path / "t")]) == 3

@@ -123,7 +123,6 @@ def test_apply_ablation_unknown_token():
 def test_model_reads_its_widths_from_the_config():
     cfg = TrainConfig(seed=0, canvas=12, embed_dim=8, n_queries=9, mid_channels=5,
                       high_channels=7, stride=3)
-    assert cfg.pipeline_config() is cfg
     enc = cfg.encoder(4)
     assert (enc.seed, enc.d_mid, enc.d_high, enc.d_sam, enc.stride) == (4, 5, 7, 8, 3)
     params = init_params(cfg, 4)

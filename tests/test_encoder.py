@@ -67,3 +67,18 @@ def test_position_channels_make_translation_visible():
     a = enc.encode(Tensor(img_a)).mid.data
     b = enc.encode(Tensor(img_b)).mid.data
     assert not np.array_equal(a, b)
+
+
+def test_encode_frames_projects_frame_zero_only_when_asked(rng):
+    enc = StubEncoder(seed=0, **WIDTHS, stride=2)
+    frames = rng.random((3, 8, 8))
+    first, sam = enc.encode_frames(frames, first=True)
+    assert sam.shape == (3, WIDTHS["d_sam"], 4, 4)
+    assert (first.mid.shape, first.high.shape) == ((6, 4, 4), (6, 4, 4))
+    assert first.sam.data.tobytes() == sam.data[0].tobytes()
+    none, again = enc.encode_frames(frames, first=False)
+    assert none is None and again.data.tobytes() == sam.data.tobytes()
+    with pytest.raises(ShapeMismatch):
+        enc.encode_frames(frames[0], first=True)  # one image, not a stack
+    with pytest.raises(ShapeMismatch):
+        enc.encode_frames(rng.random((2, 7, 8)), first=False)  # not divisible by stride

@@ -10,6 +10,7 @@ from dcsam import video as video_module
 from dcsam.tensor import Tensor
 from dcsam.oracles import (
     EPISODE_FIELDS,
+    FRAME_CASES,
     SUITES,
     SuiteResult,
     cycle_bias_reference,
@@ -142,6 +143,21 @@ def test_encoder_suite_checks_the_projection_itself(monkeypatch):
     result = run_encoder_suite(trials=8, seed=3)
     assert result.failures == 8
     assert "sam maps differ" in result.detail[0]
+
+
+def test_encoder_suite_checks_the_frame_path(monkeypatch):
+    original = encoder_module.StubEncoder.encode_frames
+
+    def mid_one_ulp_up(self, frames, first):
+        maps, sam = original(self, frames, first)
+        if maps is not None:
+            maps = dataclasses.replace(maps, mid=Tensor(np.nextafter(maps.mid.data, np.inf)))
+        return maps, sam
+
+    monkeypatch.setattr(encoder_module.StubEncoder, "encode_frames", mid_one_ulp_up)
+    result = run_encoder_suite(seed=3)
+    assert result.failures == len(FRAME_CASES)
+    assert "frame 0 mid maps differ" in result.detail[0]
 
 
 # Elongated canvases on which some draws fall back to the centered block,

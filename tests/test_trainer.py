@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from dcsam import encoder as encoder_module
 from dcsam.config import TrainConfig
 from dcsam.decoder import decode
+from dcsam.encoder import EncoderMaps
 from dcsam.episodes import class_registry, gen_episode, split_folds
 from dcsam.errors import CheckpointMissing, DivergenceDetected, EmptyReport, IoError
 from dcsam.losses import total_loss
@@ -115,53 +117,70 @@ def test_train_with_tube_steps_extends_schedule():
 
 def tube_case(stride=1, frames=5):
     cfg = dataclasses.replace(TINY, stride=stride)
-    pcfg = cfg.pipeline_config()
     ep = gen_episode(6, 21, (8, 8))
-    return (ep, make_tube(ep, frames, seed=4), init_params(pcfg, seed=2), pcfg,
-            pcfg.encoder(cfg.seed))
+    return (ep, make_tube(ep, frames, seed=4), init_params(cfg, seed=2), cfg,
+            cfg.encoder(cfg.seed))
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_tube_loss_is_the_mean_of_frame_losses(stride):
-    ep, tube, params, pcfg, encoder = tube_case(stride)
-    got = tube_loss(ep.support_img, ep.support_mask, tube, params, pcfg, encoder).item()
+    ep, tube, params, cfg, encoder = tube_case(stride)
+    got = tube_loss(ep.support_img, ep.support_mask, tube, params, cfg, encoder).item()
     prompts, _ = generate_prompts(encoder.encode(ep.support_img), encoder.encode(tube.frames[0]),
-                                  downsample_mask(ep.support_mask, stride), params, pcfg)
-    terms = [total_loss(decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, pcfg.tau),
+                                  downsample_mask(ep.support_mask, stride), params, cfg)
+    terms = [total_loss(decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, cfg.tau),
                         downsample_mask(mask, stride)).item()
              for frame, mask in zip(tube.frames, tube.masks)]
     assert abs(got - sum(terms) / len(terms)) <= 1e-12
 
 
 def test_tube_loss_encodes_frame_zero_once(monkeypatch):
-    ep, tube, params, pcfg, encoder = tube_case()
+    ep, tube, params, cfg, encoder = tube_case()
     calls = []
-    original = type(encoder).encode
+    original = encoder_module._descriptors
 
-    def counting(self, image, batched=False):
-        calls.append(image.shape)
-        return original(self, image, batched)
+    def counting(img):
+        calls.append(img.shape)
+        return original(img)
 
-    monkeypatch.setattr(type(encoder), "encode", counting)
-    got = tube_loss(ep.support_img, ep.support_mask, tube, params, pcfg, encoder).item()
+    monkeypatch.setattr(encoder_module, "_descriptors", counting)
+    got = tube_loss(ep.support_img, ep.support_mask, tube, params, cfg, encoder).item()
     monkeypatch.undo()
-    # the support image and the frame stack; frame 0's maps come from the stack
+    # one descriptor pass over the frame stack and one over the support image;
+    # frame 0's maps come from the stack
     assert calls == [(len(tube),) + tube.frames[0].shape, ep.support_img.shape]
     # exactly the value of prompts from a separate encode of frame 0
     prompts, _ = generate_prompts(encoder.encode(ep.support_img), encoder.encode(tube.frames[0]),
-                                  downsample_mask(ep.support_mask, 1), params, pcfg)
+                                  downsample_mask(ep.support_mask, 1), params, cfg)
     frames = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
-    probs = decode(prompts.pos, prompts.neg, frames.sam, pcfg.tau)
+    probs = decode(prompts.pos, prompts.neg, frames.sam, cfg.tau)
     target = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), 1)
     per_frame = total_loss(probs, target, batched=True)
     assert got == T.scale(T.sum_all(per_frame), 1.0 / len(tube)).item()
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("frames", [1, 3, 5])
+def test_tube_loss_equals_encoding_every_frame_to_every_map(frames, stride):
+    ep, tube, params, cfg, encoder = tube_case(stride, frames)
+    got = tube_loss(ep.support_img, ep.support_mask, tube, params, cfg, encoder)
+    # all three maps of the whole stack, frame 0's sliced out for the prompts
+    maps = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
+    first = EncoderMaps(*(Tensor(m.data[0]) for m in (maps.mid, maps.high, maps.sam)))
+    prompts, _ = generate_prompts(encoder.encode(ep.support_img), first,
+                                  downsample_mask(ep.support_mask, stride), params, cfg)
+    probs = decode(prompts.pos, prompts.neg, maps.sam, cfg.tau)
+    target = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), stride)
+    per_frame = total_loss(probs, target, batched=True)
+    want = T.scale(T.sum_all(per_frame), 1.0 / len(tube))
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_tube_loss_gradients_match_central_differences():
-    ep, tube, params, pcfg, encoder = tube_case()
+    ep, tube, params, cfg, encoder = tube_case()
 
     def loss_at(p):
-        return tube_loss(ep.support_img, ep.support_mask, tube, p, pcfg, encoder)
+        return tube_loss(ep.support_img, ep.support_mask, tube, p, cfg, encoder)
 
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)
@@ -190,7 +209,7 @@ def test_train_seed_changes_outcome():
 def test_train_zero_lr_keeps_params_bitwise():
     cfg = dataclasses.replace(TINY, lr=0.0, steps=2)
     result = train(cfg, FOLD)
-    fresh = init_params(cfg.pipeline_config(), cfg.seed)
+    fresh = init_params(cfg, cfg.seed)
     for name, t in result.params.named().items():
         assert np.array_equal(t.data, fresh.named()[name].data), name
 
@@ -204,7 +223,7 @@ def test_train_divergence_detected():
 
 
 def test_evaluate_protocol_fixed_seeds():
-    params = init_params(TINY.pipeline_config(), seed=0)
+    params = init_params(TINY, seed=0)
     rep_a = evaluate(params, TINY, FOLD, episodes_per_class=3)
     rep_b = evaluate(params, TINY, FOLD, episodes_per_class=3)
     assert rep_a == rep_b
@@ -215,15 +234,15 @@ def test_evaluate_protocol_fixed_seeds():
 
 def test_evaluate_sees_the_same_episodes_for_any_params():
     # the seed set is fixed by config, not by the model under test
-    params_a = init_params(TINY.pipeline_config(), seed=0)
-    params_b = init_params(TINY.pipeline_config(), seed=99)
+    params_a = init_params(TINY, seed=0)
+    params_b = init_params(TINY, seed=99)
     rep_a = evaluate(params_a, TINY, FOLD, episodes_per_class=2)
     rep_b = evaluate(params_b, TINY, FOLD, episodes_per_class=2)
     assert set(rep_a.per_class_iou) == set(rep_b.per_class_iou)
 
 
 def test_evaluate_guards():
-    params = init_params(TINY.pipeline_config(), seed=0)
+    params = init_params(TINY, seed=0)
     with pytest.raises(EmptyReport):
         evaluate(params, TINY, FOLD, episodes_per_class=0)
     empty_fold = dataclasses.replace(FOLD, test_classes=())
@@ -232,22 +251,20 @@ def test_evaluate_guards():
 
 
 def test_grad_check_passes_on_healthy_params():
-    pcfg = TINY.pipeline_config()
-    params = init_params(pcfg, seed=3)
+    params = init_params(TINY, seed=3)
     ep = grad_check_episode(TINY, canvas=8)
-    result = grad_check(params, ep, pcfg, pcfg.encoder(TINY.seed), samples_per_param=3)
+    result = grad_check(params, ep, TINY, TINY.encoder(TINY.seed), samples_per_param=3)
     assert result.passed, result.per_param
     assert set(result.per_param) == set(params.named())
     assert result.worst < 1e-4
 
 
 def test_grad_check_deterministic():
-    pcfg = TINY.pipeline_config()
-    params = init_params(pcfg, seed=3)
+    params = init_params(TINY, seed=3)
     ep = grad_check_episode(TINY, canvas=8)
-    enc = pcfg.encoder(TINY.seed)
-    a = grad_check(params, ep, pcfg, enc, samples_per_param=2, seed=5)
-    b = grad_check(params, ep, pcfg, enc, samples_per_param=2, seed=5)
+    enc = TINY.encoder(TINY.seed)
+    a = grad_check(params, ep, TINY, enc, samples_per_param=2, seed=5)
+    b = grad_check(params, ep, TINY, enc, samples_per_param=2, seed=5)
     assert a.per_param == b.per_param
 
 

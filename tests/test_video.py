@@ -1,16 +1,21 @@
 import dataclasses
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcsam.config import TrainConfig
+from dcsam.encoder import StubEncoder
 from dcsam.episodes import gen_episode
 from dcsam.errors import FrameCountMismatch, IoError, ShapeMismatch
 from dcsam.oracles import tube_loop_reference
 from dcsam.pipeline import downsample_mask, generate_prompts, infer_mask, init_params
-from dcsam.tensor import binarize
+from dcsam.tensor import Tensor, binarize
 from dcsam.video import (
     FRAME_CHUNK,
     MaskTube,
@@ -132,6 +137,49 @@ def test_tube_validate_catches_structural_errors():
         not_identity.validate()
 
 
+def test_tube_validate_checks_every_frame():
+    tube = make_tube(gen_episode(2, 8, (16, 16)), 5, seed=1)
+    half = Tensor(np.where(tube.masks[-1].data > 0, 1.0, 0.5))
+    not_binary = dataclasses.replace(tube, masks=tube.masks[:-1] + (half,))
+    with pytest.raises(ValueError, match="^tube masks must be binary$"):
+        not_binary.validate()
+    small = Tensor(np.zeros((8, 8)))
+    for k in (1, 4):
+        for field in ("frames", "masks"):
+            held = getattr(tube, field)
+            bad = dataclasses.replace(tube, **{field: held[:k] + (small,) + held[k + 1:]})
+            with pytest.raises(ShapeMismatch, match="share one shape"):
+                bad.validate()
+
+
+# Scale grids make_tube accepts: finite positive scales around 1.0, written by
+# save_tube in plain and in exponent notation.
+SCALE_GRIDS = st.lists(st.floats(min_value=1e-6, max_value=1e17), max_size=4).map(
+    lambda scales: tuple(sorted(set(scales) | {1.0})))
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=st.integers(1, 9), canvas=st.sampled_from((16, 32)), scale_grid=SCALE_GRIDS,
+       allow_flip=st.booleans(), class_id=st.integers(0, 15), seed=st.integers(0, 2**31 - 1))
+def test_tube_frames_are_warps_of_the_query_and_round_trip(frames, canvas, scale_grid,
+                                                           allow_flip, class_id, seed):
+    ep = gen_episode(class_id, seed, (canvas, canvas))
+    tube = make_tube(ep, frames, seed, scale_grid=scale_grid, allow_flip=allow_flip)
+    assert len(tube) == frames
+    for frame, mask, spec in zip(tube.frames, tube.masks, tube.transforms):
+        assert frame.data.tobytes() == warp(ep.query_img.data, spec).tobytes()
+        assert mask.data.tobytes() == warp(ep.query_mask.data, spec).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tube(Path(tmp) / "tube", tube)
+        back = load_tube(Path(tmp) / "tube")
+    assert (back.class_id, back.seed, back.transforms) == (tube.class_id, tube.seed,
+                                                           tube.transforms)
+    for a, b in zip(back.masks, tube.masks):
+        assert a.data.tobytes() == b.data.tobytes()
+    for a, b in zip(back.frames, tube.frames):  # .dcst v1 stores float32
+        assert a.data.tobytes() == b.data.astype(np.float32).astype(np.float64).tobytes()
+
+
 def test_save_load_round_trip(tmp_path):
     ep = gen_episode(9, 33, (16, 16))
     tube = make_tube(ep, 5, seed=21)
@@ -230,26 +278,26 @@ def test_save_load_round_trip_at_exponent_scales(tmp_path, scale):
 
 
 def test_single_frame_propagation_equals_image_inference():
-    pcfg = TrainConfig(lr=1e-2, steps=1, batch=1, seed=0).pipeline_config()
-    params = init_params(pcfg, seed=4)
-    encoder = pcfg.encoder(seed=0)
+    cfg = TrainConfig(lr=1e-2, steps=1, batch=1, seed=0)
+    params = init_params(cfg, seed=4)
+    encoder = cfg.encoder(seed=0)
     ep = gen_episode(3, 6, (16, 16))
     tube = make_tube(ep, 1, seed=0)
     pred_tube = propagate_first_frame(tube, ep.support_img, ep.support_mask,
-                                      params, pcfg, encoder)
+                                      params, cfg, encoder)
     direct = infer_mask(ep.support_img, ep.support_mask, ep.query_img,
-                        params, pcfg, encoder)
+                        params, cfg, encoder)
     assert len(pred_tube) == 1
     assert np.array_equal(pred_tube.masks[0].data, binarize(direct).data)
 
 
 def test_propagation_keeps_frames_and_transforms():
-    pcfg = TrainConfig(lr=1e-2, steps=1, batch=1, seed=0).pipeline_config()
-    params = init_params(pcfg, seed=4)
-    encoder = pcfg.encoder(seed=0)
+    cfg = TrainConfig(lr=1e-2, steps=1, batch=1, seed=0)
+    params = init_params(cfg, seed=4)
+    encoder = cfg.encoder(seed=0)
     ep = gen_episode(5, 6, (16, 16))
     tube = make_tube(ep, 4, seed=2)
-    pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, pcfg, encoder)
+    pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
     assert pred.transforms == tube.transforms
     for a, b in zip(pred.frames, tube.frames):
         assert np.array_equal(a.data, b.data)
@@ -260,32 +308,53 @@ def test_propagation_keeps_frames_and_transforms():
 
 @pytest.mark.parametrize("stride,neg", [(1, True), (2, True), (2, False)])
 def test_chunked_propagation_equals_the_frame_loop(stride, neg):
-    pcfg = TrainConfig(seed=3, stride=stride, use_neg_branch=neg).pipeline_config()
-    params = init_params(pcfg, seed=6)
-    encoder = pcfg.encoder(seed=3)
+    cfg = TrainConfig(seed=3, stride=stride, use_neg_branch=neg)
+    params = init_params(cfg, seed=6)
+    encoder = cfg.encoder(seed=3)
     ep = gen_episode(3, 12, (16, 16))
     for frames in (FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1):
         tube = make_tube(ep, frames, seed=frames)
-        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, pcfg, encoder)
+        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
         want, _, _ = tube_loop_reference(tube, ep.support_img, ep.support_mask,
-                                         params, pcfg, encoder)
+                                         params, cfg, encoder)
         got = np.stack([m.data for m in pred.masks])
         assert got.tobytes() == want.tobytes()
         if neg:  # without the negative branch, untrained prompts fill the frame
             assert 0.0 < got.mean() < 1.0
 
 
+def test_propagation_projects_mid_and_high_for_frame_zero_only(monkeypatch):
+    cfg = TrainConfig(seed=0, canvas=32)
+    params = init_params(cfg, seed=1)
+    encoder = cfg.encoder(seed=0)
+    ep = gen_episode(3, 5, (32, 32))
+    tube = make_tube(ep, 32, seed=2)
+    images = {"mid": 0, "high": 0, "sam": 0}   # images projected to each map
+    original = StubEncoder._project
+
+    def counting(self, desc, shape, projections):
+        for _, proj in projections:
+            name = next(n for n in images if proj is getattr(self, f"_w_{n}"))
+            images[name] += int(np.prod(shape[:-2]))
+        return original(self, desc, shape, projections)
+
+    monkeypatch.setattr(StubEncoder, "_project", counting)
+    propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
+    # the support image, then frame 0 alone for mid and high; every frame for sam
+    assert images == {"mid": 2, "high": 2, "sam": 1 + len(tube)}
+
+
 def test_propagation_memory_is_bounded_by_the_chunk():
-    pcfg = TrainConfig(seed=0, canvas=32).pipeline_config()
-    params = init_params(pcfg, seed=1)
-    encoder = pcfg.encoder(seed=0)
+    cfg = TrainConfig(seed=0, canvas=32)
+    params = init_params(cfg, seed=1)
+    encoder = cfg.encoder(seed=0)
     ep = gen_episode(3, 5, (32, 32))
     peaks = []
     for frames in (1, 32):
         tube = make_tube(ep, frames, seed=2)
         tracemalloc.start()
         try:
-            propagate_first_frame(tube, ep.support_img, ep.support_mask, params, pcfg, encoder)
+            propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
