@@ -107,8 +107,8 @@ def tensor_from_bytes(raw: bytes, *, source: str = "<bytes>") -> Tensor:
     payload = raw[dim_end:]
     if len(payload) != 4 * count:
         raise IoError(f"{source}: payload holds {len(payload)} bytes, dims {dims} need {4 * count}")
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
-    try:
-        return Tensor(data)
-    except ValueError as err:
-        raise IoError(f"{source}: {err}") from err
+    data = np.frombuffer(payload, dtype="<f4")
+    # checked before the cast: casting a signalling NaN warns (raises under -W error)
+    if not np.isfinite(data).all():
+        raise IoError(f"{source}: tensor data must be finite")
+    return Tensor(data.astype(np.float64).reshape(dims))

@@ -1,8 +1,9 @@
 """Self-contained reference implementations and randomized audit suites.
 
 Everything here recomputes a result by the most literal method available
-(explicit loops, scalar math, finite differences) and compares it against
-the vectorized production path. The suites are what `dcsam oracle` runs.
+(explicit loops, scalar math, finite differences, the plain-NumPy forward
+of ``reference``) and compares it against the vectorized production path.
+The suites are what `dcsam oracle` runs.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .episodes import (CLASS_COUNT, MAX_AREA_FRAC, MAX_OVERLAP_FRAC, MIN_AREA_FR
 from .losses import total_loss
 from .metrics import boundary_f, iou, jf_score, mask_scores
 from .pipeline import downsample_mask, generate_prompts, init_params, upsample_map, watch_params
+from .reference import cycle_bias_reference, reference_forward, softmax_rows_reference
 from .seeding import derive_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, grad, masked_softmax_rows
 from .trainer import batch_forward, encode_episodes, grad_check
@@ -50,38 +52,6 @@ def _run_trials(name: str, trials: int, trial: Callable[[int], str | None]) -> S
     line or None. The result counts failures and keeps the first five lines."""
     lines = [line for line in map(trial, range(trials)) if line is not None]
     return SuiteResult(name, trials, len(lines), tuple(lines[:5]))
-
-
-def cycle_bias_reference(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Triple-loop round-trip bias with explicit first-max tie breaking."""
-    n, hw = a.shape
-    bias = np.empty(hw)
-    for j in range(hw):
-        i_star = 0
-        for i in range(1, n):
-            if a[i, j] > a[i_star, j]:
-                i_star = i
-        j_star = 0
-        for jp in range(1, hw):
-            if a[i_star, jp] > a[i_star, j_star]:
-                j_star = jp
-        bias[j] = 0.0 if mask[j] == mask[j_star] else -np.inf
-    return bias
-
-
-def softmax_rows_reference(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Scalar-math row softmax; -inf bias entries contribute exactly zero."""
-    rows, cols = x.shape
-    out = np.zeros((rows, cols))
-    for r in range(rows):
-        logits = [x[r, c] + bias[c] for c in range(cols)]
-        live = [c for c in range(cols) if logits[c] != -np.inf]
-        top = max(logits[c] for c in live)
-        weights = [math.exp(logits[c] - top) for c in live]
-        total = sum(weights)
-        for c, wgt in zip(live, weights):
-            out[r, c] = wgt / total
-    return out
 
 
 def _bias_pattern(values: np.ndarray) -> np.ndarray:
@@ -259,6 +229,54 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
         return None
 
     return _run_trials("batch", trials, trial)
+
+
+# Batch sizes of the ``reference`` suite, each under every batch variant.
+REFERENCE_CASES = tuple(itertools.product((1, 3, 32), BATCH_VARIANTS))
+REFERENCE_TOL = 1e-12
+
+
+def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> SuiteResult:
+    """Production's batched forward against ``reference_forward``.
+
+    Trial t runs case ``REFERENCE_CASES[t % len(REFERENCE_CASES)]`` (batch
+    size, config variant) at canvas 8 on random episodes and parameters.
+    The prompts, pseudo masks and probabilities of every episode, and the
+    batch-mean loss, must agree within ``REFERENCE_TOL`` relative to the
+    larger of 1 and the reference's largest magnitude.
+    """
+    rng = rng_for(seed, tag("oracle"), 8)
+
+    def trial(t: int) -> str | None:
+        b, variant = REFERENCE_CASES[t % len(REFERENCE_CASES)]
+        cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 8, t), canvas=8, **variant)
+        encoder = cfg.encoder(cfg.seed)
+        params = init_params(cfg, cfg.seed)
+        episodes = [gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
+                                (8, 8)) for _ in range(b)]
+        enc_s, enc_q, mask_f, gt_f = encode_episodes(episodes, encoder)
+        prompts, pseudo, probs, loss = batch_forward(enc_s, enc_q, mask_f, gt_f, params, cfg)
+        got = {"pos": prompts.pos.data, "pseudo": pseudo.data, "probs": probs.data,
+               "loss": loss.data}
+        if prompts.neg is not None:
+            got["neg"] = prompts.neg.data
+        arrays = {name: t.data for name, t in params.named().items()}
+
+        def maps(enc, i):
+            return enc.mid.data[i], enc.high.data[i], enc.sam.data[i]
+
+        rows = [reference_forward(maps(enc_s, i), maps(enc_q, i), mask_f.data[i], gt_f.data[i],
+                                  arrays, cfg) for i in range(b)]
+        want = {key: np.stack([row[key] for row in rows]) for key in got}
+        want["loss"] = want["loss"].mean()
+        devs = batch_deviations(got, want)
+        worst = max(devs, key=devs.get)
+        if devs[worst] > REFERENCE_TOL:
+            return (f"trial {t} (B={b}, {variant or 'full model'}): "
+                    f"{worst} deviates by {devs[worst]:.3e}")
+        return None
+
+    return _run_trials("reference", trials, trial)
 
 
 def tube_loop_reference(tube, support_img, support_mask, params, cfg, encoder
@@ -667,4 +685,5 @@ SUITES = {
     "tube": run_tube_suite,
     "encoder": run_encoder_suite,
     "episodes": run_episodes_suite,
+    "reference": run_reference_suite,
 }

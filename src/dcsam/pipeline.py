@@ -127,26 +127,22 @@ def mask_average(feat: Tensor, mask: Tensor) -> Tensor:
     return Tensor(pooled)
 
 
-# Query rows per normalisation block of ``max_cosine_map``: at canvas 32
-# a block of 128 rows ran about 2.5x faster than one pass over the whole
-# similarity matrix, and at canvas 16 (256 rows) as fast.
+# Query rows per block of ``max_cosine_map``: at canvas 32 (1,024 query
+# rows, 717 support columns) a product and max of 128 rows at a time ran
+# about 2.3x faster than one over the whole similarity matrix, and no block
+# reaches the 4 MiB from which NumPy advises huge pages.
 _COSINE_ROWS = 128
 
-# NumPy advises huge pages (MADV_HUGEPAGE) for every array of 4 MiB or
-# more. Freed into the heap, that range stays advised, and the kernel
-# collapses it into huge pages at some later moment: whatever is placed
-# there next changes speed in the middle of a run. The similarity matrix is
-# the only array that large on the inference path (canvas 32: 1,024 query
-# rows by up to 1,024 support columns), so from that size on it lives in a
-# bytearray, which NumPy does not advise.
-_HUGEPAGE_ADVICE_BYTES = 1 << 22
 
-
-def _similarity_buffer(rows: int, cols: int) -> np.ndarray:
-    nbytes = rows * cols * np.dtype(np.float64).itemsize
-    if nbytes < _HUGEPAGE_ADVICE_BYTES:
-        return np.empty((rows, cols))
-    return np.frombuffer(bytearray(nbytes), dtype=np.float64).reshape(rows, cols)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` [..., n, C] scaled to unit length; a zero row stays
+    zero. Dividing by the row's largest magnitude first keeps the squares
+    of the norm from overflowing or underflowing."""
+    peak = np.abs(v).max(axis=-1, keepdims=True)
+    unit = v / np.where(peak > 0.0, peak, 1.0)
+    # a nonzero row now has norm >= 1, a zero row norm 0
+    unit /= np.maximum(np.linalg.norm(unit, axis=-1, keepdims=True), 1.0)
+    return unit
 
 
 def max_cosine_map(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
@@ -154,39 +150,30 @@ def max_cosine_map(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
     position: [C, H, W] x [C, H, W] x [H, W] -> [H, W], or per episode of a
     batch [B, C, H, W] x [B, C, H, W] x [B, H, W] -> [B, H, W]. Detached.
 
-    Similarities are taken episode by episode against the masked support
-    positions only: selecting them first costs less than one batched
-    matrix over every support position. Each mask needs a masked position,
-    which ``generate_prompts`` checks per branch.
+    The cosine is the dot product of unit vectors, each normalised once; a
+    zero vector scores 0 against everything. Similarities are taken episode
+    by episode against the masked support positions only, 128 query rows at
+    a time, each block's maxima going straight into the result. Each mask
+    needs a masked position, which ``generate_prompts`` checks per branch.
     """
     lead = f_s.shape[:-3]
     m = support_mask.data.reshape(lead + (-1,)).astype(bool)
     c, h, w = f_q.shape[-3:]
-    q = np.swapaxes(f_q.data.reshape(lead + (c, -1)), -1, -2)     # [..., HW, C]
-    s = np.swapaxes(f_s.data.reshape(lead + (c, -1)), -1, -2)
-    qn = np.linalg.norm(q, axis=-1)
-    sn = np.linalg.norm(s, axis=-1)
+    q = _unit_rows(np.swapaxes(f_q.data.reshape(lead + (c, -1)), -1, -2))     # [..., HW, C]
+    s = _unit_rows(np.swapaxes(f_s.data.reshape(lead + (c, -1)), -1, -2))
     best = np.empty(lead + (h * w,))
     for idx in np.ndindex(lead):
-        keep = m[idx]
-        s_keep = s[idx][keep]
-        sims = np.matmul(q[idx], s_keep.T, out=_similarity_buffer(h * w, len(s_keep)))
-        q_norm, s_norm, out = qn[idx], sn[idx][keep], best[idx]
-        # normalise in row blocks that stay in cache, dividing in place:
-        # each entry is still (q . s) / (|q| * |s| + 1e-12)
+        s_keep_t = s[idx][m[idx]].T
+        q_ep, out = q[idx], best[idx]
         for a in range(0, h * w, _COSINE_ROWS):
             rows = slice(a, a + _COSINE_ROWS)
-            norm = q_norm[rows, None] * s_norm[None, :]
-            norm += 1e-12
-            block = sims[rows]
-            block /= norm
-            block.max(axis=1, out=out[rows])
+            np.max(q_ep[rows] @ s_keep_t, axis=1, out=out[rows])
     return Tensor(best.reshape(lead + (h, w)))
 
 
 def prior_mask(f_q: Tensor, f_s: Tensor, support_mask: Tensor) -> Tensor:
-    """Min-max normalized best-similarity map, per episode of a batch; a
-    constant map becomes zeros."""
+    """The mask prior: ``max_cosine_map`` min-max normalized to [0, 1] per
+    episode of a batch; a map whose span is below 1e-12 becomes zeros."""
     raw = max_cosine_map(f_q, f_s, support_mask).data
     lo = raw.min(axis=(-2, -1), keepdims=True)
     span = raw.max(axis=(-2, -1), keepdims=True) - lo

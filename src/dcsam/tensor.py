@@ -544,8 +544,10 @@ def masked_softmax_rows(x: Tensor, bias: np.ndarray) -> Tensor:
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Pointwise convolution: [C_in, H, W] with weight [C_out, C_in], bias [C_out].
 
-    Equivalent to a matrix product over the flattened spatial axis. A
-    batched x [B, C_in, H, W] gives [B, C_out, H, W].
+    One matrix product of the weight with the input's flattened spatial
+    axis, plus the bias. A batched x [B, C_in, H, W] gives [B, C_out, H, W]
+    from one stacked product; NumPy runs it as one product per episode, so
+    every episode gets the bits it would get alone.
     """
     if x.ndim not in (3, 4) or w.ndim != 2 or b.ndim != 1:
         raise ShapeMismatch(f"conv1x1: expected ranks (3 or 4, 2, 1), got {x.shape}, {w.shape}, {b.shape}")
@@ -554,7 +556,7 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape[0] != w.shape[0]:
         raise ShapeMismatch(f"conv1x1: bias {b.shape} does not match output channels {w.shape[0]}")
     dx, dw = x.data, w.data
-    # einsum rather than a matrix product: every episode of a batch then
-    # gets exactly the bits it would get alone
-    out = np.einsum("oc,...chw->...ohw", dw, dx) + b.data[:, None, None]
+    flat = dx.reshape(dx.shape[:-2] + (-1,))                          # [..., C_in, HW]
+    out = (dw @ flat).reshape(dx.shape[:-3] + (dw.shape[0],) + dx.shape[-2:])
+    out += b.data[:, None, None]
     return _emit(_finite(out, "conv1x1"), (x, w, b), lambda g: _conv1x1_vjp(g, dx, dw))

@@ -299,7 +299,7 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
             raise CheckpointMissing(f"{path} is missing")
         t = dcst.read_tensor(path)
         if t.shape != ref.shape:
-            raise IoError(f"{path}: shape {t.shape} does not match config ({ref.shape})")
+            raise IoError(f"{path}: shape {t.shape} does not match {cfg_path} ({ref.shape})")
         named[name] = t
     return ModelParams.from_named(named), cfg, step
 

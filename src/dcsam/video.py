@@ -117,7 +117,9 @@ def _source_map(shape: tuple[int, int], specs: Sequence[TransformSpec]):
     those sources' rows and columns. A warp is separable, so source rows are
     computed per destination row [K, H, 1] and source columns per column
     [K, 1, W]; the arithmetic is elementwise, so each warp has the bits it
-    has alone."""
+    has alone. Sources are clipped to one pixel past the canvas before the
+    integer cast, so a tiny scale's huge offsets stay off the canvas
+    instead of overflowing the cast."""
     h, w = shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
 
@@ -128,8 +130,8 @@ def _source_map(shape: tuple[int, int], specs: Sequence[TransformSpec]):
     u = np.arange(w) - per_spec("dx", np.int64)
     u = np.where(per_spec("flip", bool), (w - 1) - u, u)
     scale = per_spec("scale", np.float64)
-    src_r = np.floor((v - cy) / scale + cy + 0.5).astype(np.int64)
-    src_c = np.floor((u - cx) / scale + cx + 0.5).astype(np.int64)
+    src_r = np.clip(np.floor((v - cy) / scale + cy + 0.5), -1, h).astype(np.int64)
+    src_c = np.clip(np.floor((u - cx) / scale + cx + 0.5), -1, w).astype(np.int64)
     inside = ((src_r >= 0) & (src_r < h)) & ((src_c >= 0) & (src_c < w))
     return (inside, np.broadcast_to(src_r, inside.shape)[inside],
             np.broadcast_to(src_c, inside.shape)[inside])

@@ -6,7 +6,7 @@ import pytest
 from dcsam.attention import (AttentionBlock, affinity, cross_attention, cycle_bias,
                              cycle_consistent_attention, self_attention)
 from dcsam.errors import AllMasked, ShapeMismatch
-from dcsam.oracles import cycle_bias_reference
+from dcsam.reference import cycle_bias_reference
 from dcsam.tensor import GradTape, Tensor, grad
 from dcsam import tensor as T
 

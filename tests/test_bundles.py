@@ -15,8 +15,8 @@ from dcsam.cli import main
 from dcsam.config import TrainConfig
 from dcsam.dcst import read_tensor, tensor_bytes, write_tensor
 from dcsam.episodes import gen_episode, load_episode, save_episode
-from dcsam.errors import IoError
-from dcsam.pipeline import init_params
+from dcsam.errors import CheckpointMissing, IoError
+from dcsam.pipeline import ModelParams, init_params
 from dcsam.tensor import Tensor, is_binary
 from dcsam.trainer import load_checkpoint, save_checkpoint
 from dcsam.video import MaskTube, TransformSpec, load_tube, make_tube, save_tube
@@ -125,6 +125,7 @@ def _checkpoint(root):
     return root / "optimizer.txt", lambda: load_checkpoint(root)
 
 
+MAKERS = {"episode": _episode_bundle, "tube": _tube_bundle, "checkpoint": _checkpoint}
 METADATA = pytest.mark.parametrize("make", [_episode_bundle, _tube_bundle, _checkpoint],
                                    ids=["episode-meta", "tube-meta", "optimizer"])
 
@@ -197,7 +198,7 @@ MASK_FILES = [("episode", "support_mask.dcst"), ("episode", "query_mask.dcst"),
 
 
 def _bundle(kind, root):
-    return (_episode_bundle if kind == "episode" else _tube_bundle)(root)[1]
+    return MAKERS[kind](root)[1]
 
 
 def _loaded_masks(loaded):
@@ -259,3 +260,64 @@ def test_a_changed_mask_file_loads_binary_or_raises_io_error_naming_it(target, c
             assert str(path) in str(err)
         else:
             assert all(is_binary(m.data) for m in _loaded_masks(loaded))
+
+
+# Every other kind of bundle file: images, frames, metadata and checkpoints.
+BUNDLE_FILES = [("episode", "support.dcst"), ("episode", "query.dcst"), ("episode", "meta.txt"),
+                ("tube", "frames/frame_0001.dcst"), ("tube", "meta.txt"),
+                ("checkpoint", "fusion_w.dcst"), ("checkpoint", "e_neg.dcst"),
+                ("checkpoint", "config.txt"), ("checkpoint", "optimizer.txt")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUNDLE_FILES),
+       st.one_of(st.tuples(st.integers(0, 10 ** 6), st.none(), st.none()),
+                 st.tuples(st.none(), st.integers(0, 10 ** 6), st.integers(0, 255))))
+def test_a_changed_bundle_file_loads_or_raises_an_error_naming_it(target, change):
+    kind, name = target
+    with tempfile.TemporaryDirectory() as tmp:
+        load = _bundle(kind, Path(tmp))
+        path = Path(tmp) / name
+        path.write_bytes(_changed(path.read_bytes(), change))
+        try:
+            load()
+        except (IoError, CheckpointMissing) as err:
+            assert str(path) in str(err)
+
+
+def test_a_changed_width_in_a_checkpoint_config_names_the_config(tmp_path):
+    path, load = _checkpoint(tmp_path)
+    config = tmp_path / "config.txt"
+    config.write_text(config.read_text().replace("embed_dim = 6", "embed_dim = 7"))
+    with pytest.raises(IoError, match=re.escape(str(config))):
+        load()
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_id=st.integers(0, 15), seed=st.integers(0, 2**31 - 1),
+       canvas=st.tuples(st.integers(8, 24), st.integers(8, 24)))
+def test_an_episode_reads_back_exactly(class_id, seed, canvas):
+    ep = gen_episode(class_id, seed, canvas)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_episode(tmp, ep)
+        back = load_episode(tmp)
+    assert (back.class_id, back.seed) == (ep.class_id, ep.seed)
+    for name in ("support_img", "support_mask", "query_img", "query_mask"):
+        assert getattr(back, name).data.tobytes() == getattr(ep, name).data.tobytes(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), embed_dim=st.integers(1, 8), n_queries=st.integers(1, 6),
+       channels=st.integers(1, 4), exponent=st.integers(-30, 30), step=st.integers(0, 10**6))
+def test_a_checkpoint_reads_back_within_float32_rounding(seed, embed_dim, n_queries, channels,
+                                                        exponent, step):
+    cfg = TrainConfig(seed=seed, embed_dim=embed_dim, n_queries=n_queries,
+                      mid_channels=channels, high_channels=channels)
+    params = {name: Tensor(t.data * 10.0 ** exponent)
+              for name, t in init_params(cfg, seed).named().items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(tmp, ModelParams.from_named(params), cfg, step)
+        back, back_cfg, back_step = load_checkpoint(tmp)
+    assert (back_cfg, back_step) == (cfg, step)
+    for name, t in back.named().items():   # .dcst v1 stores float32
+        assert t.data.tobytes() == params[name].data.astype(np.float32).astype(np.float64).tobytes()

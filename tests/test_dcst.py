@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ def test_non_finite_payload_rejected():
     raw = MAGIC + bytes([VERSION, 1]) + struct.pack("<I", 2) + payload
     with pytest.raises(IoError):
         tensor_from_bytes(raw)
+
+
+def test_a_signalling_nan_is_refused_without_a_cast_warning():
+    payload = struct.pack("<f", 1.0) + struct.pack("<I", 0x7F800001)
+    raw = MAGIC + bytes([VERSION, 1]) + struct.pack("<I", 2) + payload
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IoError, match="must be finite"):
+            tensor_from_bytes(raw)
 
 
 def test_refuses_values_beyond_float32_before_writing(tmp_path):

@@ -31,3 +31,23 @@ def test_every_module_imports_on_its_own():
                           capture_output=True, text=True, timeout=120, check=True)
     assert {"config", "pipeline", "cli"} <= set(names)
     assert proc.stdout.strip() == ""
+
+
+# Loads ``dcsam.reference`` alone and lists every dcsam module that came with it.
+REFERENCE_PROBE = """
+import importlib, sys, types
+package = types.ModuleType("dcsam")
+package.__path__ = [sys.argv[1]]
+sys.modules["dcsam"] = package
+importlib.import_module("dcsam.reference")
+print(" ".join(sorted(k for k in sys.modules if k.startswith("dcsam."))))
+"""
+
+
+def test_the_reference_forward_shares_no_code_with_the_layers_it_checks():
+    proc = subprocess.run([sys.executable, "-c", REFERENCE_PROBE, str(PACKAGE)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert "dcsam.reference" in loaded
+    assert not loaded & {"dcsam.tensor", "dcsam.pipeline", "dcsam.attention", "dcsam.decoder",
+                         "dcsam.losses"}

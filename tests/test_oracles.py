@@ -11,19 +11,20 @@ from dcsam.tensor import Tensor
 from dcsam.oracles import (
     EPISODE_FIELDS,
     FRAME_CASES,
+    REFERENCE_CASES,
     SUITES,
     SuiteResult,
-    cycle_bias_reference,
     descriptors_reference,
     episode_reference,
     run_cyc_suite,
     run_encoder_suite,
     run_episodes_suite,
     run_grad_suite,
+    run_reference_suite,
     run_softmax_suite,
     run_tube_suite,
-    softmax_rows_reference,
 )
+from dcsam.reference import cycle_bias_reference, softmax_rows_reference
 
 
 def test_suite_result_summary():
@@ -89,9 +90,29 @@ def test_grad_suite_catches_corrupted_backward(monkeypatch):
 
 
 def test_suites_registry():
-    assert set(SUITES) == {"cyc", "softmax", "grad", "batch", "tube", "encoder", "episodes"}
+    assert set(SUITES) == {"cyc", "softmax", "grad", "batch", "tube", "encoder", "episodes",
+                           "reference"}
     for fn in SUITES.values():
         assert callable(fn)
+
+
+def test_reference_suite_passes_for_one_and_three_episodes_under_every_variant():
+    small = [case for case in REFERENCE_CASES if case[0] in (1, 3)]
+    assert REFERENCE_CASES[:len(small)] == tuple(small) and len(small) == 12
+    result = run_reference_suite(trials=len(small), seed=0)
+    assert result.passed, result.detail
+
+
+def test_reference_suite_catches_a_conv1x1_off_by_one_part_in_a_billion(monkeypatch):
+    original = tensor_module.conv1x1
+
+    def scaled(x, w, b):
+        return tensor_module.adopt(original(x, w, b).data * (1.0 + 1e-9))
+
+    monkeypatch.setattr(tensor_module, "conv1x1", scaled)
+    result = run_reference_suite(trials=6, seed=0)
+    assert result.failures == 6
+    assert "deviates by" in result.detail[0]
 
 
 def test_tube_suite_passes_and_catches_misordered_frames(monkeypatch):

@@ -89,27 +89,62 @@ def test_max_cosine_map_finds_identical_vector(rng):
     assert out.data.max() <= 1.0 + 1e-9
 
 
+def unit_cosine_pairwise(f_q, f_s, mask):
+    """Best cosine per query position: each vector divided by its norm (a
+    zero vector stays zero), then every pair's dot product, one query
+    position against each masked support position at a time."""
+    c, h, w = f_q.shape
+
+    def unit(v):
+        norm = np.linalg.norm(v, axis=1, keepdims=True)
+        return np.divide(v, norm, out=np.zeros_like(v), where=norm > 0.0)
+
+    q = unit(f_q.reshape(c, -1).T)
+    s = unit(f_s.reshape(c, -1).T[mask.reshape(-1) == 1.0])
+    return np.array([(s @ row).max() for row in q]).reshape(h, w)
+
+
 @pytest.mark.parametrize("lead", [(), (5,)])
 @pytest.mark.parametrize("c, h, w, frac", [(4, 6, 5, 0.3), (6, 32, 32, 0.7)])
-def test_max_cosine_map_is_the_plain_expression_bit_for_bit(rng, lead, c, h, w, frac):
-    # At canvas 32 with 70% of the support masked, the similarity matrix is
-    # past 4 MiB, the size from which it is held in a bytearray.
+def test_max_cosine_map_is_the_unit_vector_cosine(rng, lead, c, h, w, frac):
+    # canvas 32 spans eight 128-row blocks
     f_q = rng.normal(size=lead + (c, h, w))
     f_s = rng.normal(size=lead + (c, h, w))
     mask = (rng.random(lead + (h, w)) < frac).astype(float)
     mask[..., 0, 0] = 1.0
     got = max_cosine_map(Tensor(f_q), Tensor(f_s), Tensor(mask)).data
-    want = np.empty(lead + (h, w))
     for idx in np.ndindex(lead):
-        q = f_q[idx].reshape(c, -1).T
-        s = f_s[idx].reshape(c, -1).T[mask[idx].reshape(-1) == 1.0]
-        qn, sn = np.linalg.norm(q, axis=-1), np.linalg.norm(s, axis=-1)
-        want[idx] = ((q @ s.T) / (qn[:, None] * sn[None, :] + 1e-12)).max(axis=1).reshape(h, w)
-    assert got.tobytes() == want.tobytes()
+        want = unit_cosine_pairwise(f_q[idx], f_s[idx], mask[idx])
+        np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-14)
 
 
-# Counts the mappings NumPy advised for huge pages after three similarity
-# matrices of 8 MiB, then after three plain NumPy arrays of that size.
+def test_max_cosine_map_scores_zero_vectors_zero(rng):
+    f_q, f_s = rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3, 3))
+    f_q[:, 0, 1] = 0.0
+    f_s[:, 2, 2] = 0.0
+    only_zero = np.zeros((3, 3))
+    only_zero[2, 2] = 1.0
+    out = max_cosine_map(Tensor(f_q), Tensor(f_s), Tensor(np.ones((3, 3)))).data
+    assert out[0, 1] == 0.0
+    assert np.array_equal(max_cosine_map(Tensor(f_q), Tensor(f_s), Tensor(only_zero)).data,
+                          np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e-150, 1e150, 1e200])
+def test_max_cosine_map_is_scale_invariant(rng, factor):
+    # at 1e-150 an epsilon of 1e-12 would swamp |q||s|; at 1e-200 and 1e200
+    # the squares of a plain norm underflow or overflow
+    f_q, f_s = rng.normal(size=(6, 8, 8)), rng.normal(size=(6, 8, 8))
+    mask = Tensor((rng.random((8, 8)) < 0.5).astype(float))
+    base = max_cosine_map(Tensor(f_q), Tensor(f_s), mask).data
+    with np.errstate(all="raise"):
+        scaled = max_cosine_map(Tensor(f_q * factor), Tensor(f_s * factor), mask).data
+    np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-15)
+
+
+# Counts the mappings NumPy advised for huge pages after three canvas-32
+# prior maps (a whole similarity matrix would be 8 MiB), then after three
+# plain NumPy arrays of that size.
 HUGE_PAGE_PROBE = """
 import numpy as np
 from dcsam.pipeline import max_cosine_map

@@ -303,6 +303,17 @@ def test_conv1x1_matches_matmul_oracle(rng):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [1, 3, 16, 32])
+def test_batched_conv1x1_has_each_episodes_own_bytes_and_matches_einsum(rng, batch):
+    x = rng.normal(size=(batch, 19, 16, 16))
+    w, b = rng.normal(size=(12, 19)), rng.normal(size=12)
+    got = T.conv1x1(Tensor(x), Tensor(w), Tensor(b)).data
+    alone = np.stack([T.conv1x1(Tensor(xi), Tensor(w), Tensor(b)).data for xi in x])
+    assert got.tobytes() == alone.tobytes()
+    want = np.einsum("oc,bchw->bohw", w, x) + b[:, None, None]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_conv1x1_shape_errors(rng):
     x, w, b = rng.normal(size=(5, 3, 4)), rng.normal(size=(2, 4)), rng.normal(size=2)
     with pytest.raises(ShapeMismatch):

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,22 @@ def test_make_tube_equals_warping_image_and_mask_separately():
             assert mask.data.tobytes() == warp(ep.query_mask.data, spec).tobytes()
             seen.add((spec.flip, spec.scale))
     assert seen == {(flip, s) for flip in (False, True) for s in (0.8, 0.9, 1.0, 1.1, 1.25)}
+
+
+def test_a_tiny_scale_warps_everything_off_the_canvas_without_overflow():
+    ep = gen_episode(0, 1, (16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tube = make_tube(ep, 6, 0, scale_grid=(1e-19, 1.0))
+        warps = [(warp(ep.query_img.data, spec), warp(ep.query_mask.data, spec))
+                 for spec in tube.transforms]
+    assert any(spec.scale == 1e-19 for spec in tube.transforms)
+    for frame, mask, spec, (want_frame, want_mask) in zip(tube.frames, tube.masks,
+                                                          tube.transforms, warps):
+        assert frame.data.tobytes() == want_frame.tobytes()
+        assert mask.data.tobytes() == want_mask.tobytes()
+        if spec.scale == 1e-19:   # no pixel of an even canvas sits on its center
+            assert not frame.data.any()
 
 
 def test_make_tube_translation_only_option():
