@@ -46,10 +46,6 @@ class AttentionBlock:
         if self.wk.shape != d or self.wv.shape != d:
             raise ShapeMismatch("projection weights must share one square shape")
 
-    @property
-    def width(self) -> int:
-        return self.wq.shape[0]
-
 
 def affinity(q: Tensor, k: Tensor) -> Tensor:
     """Scaled dot-product affinity: [N, d] x [HW, d] -> [N, HW], batched when

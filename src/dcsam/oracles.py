@@ -1,9 +1,13 @@
 """Self-contained reference implementations and randomized audit suites.
 
 Everything here recomputes a result by the most literal method available
-(explicit loops, scalar math, finite differences, the plain-NumPy forward
-of ``reference``) and compares it against the vectorized production path.
-The suites are what `dcsam oracle` runs.
+(explicit loops, scalar math, finite differences, stacked windows,
+full-canvas rasters) and compares it against the vectorized production
+path. The model itself has one reference, ``dcsam.reference``, which shares
+no code with the layers it checks: the ``reference`` suite holds the
+batched forward to it, the ``batch`` suite the tape's batched gradients to
+its complex step, and the ``tube`` suite chunked propagation to its
+frame-by-frame decode. The suites are what `dcsam oracle` runs.
 """
 from __future__ import annotations
 
@@ -14,19 +18,17 @@ from typing import Callable
 
 import numpy as np
 
-from . import tensor as T
 from .attention import cycle_bias
 from .config import TrainConfig
-from .decoder import decode
 from .encoder import StubEncoder
 from .episodes import (CLASS_COUNT, MAX_AREA_FRAC, MAX_OVERLAP_FRAC, MIN_AREA_FRAC, Episode,
                        gen_episode, grid)
-from .losses import total_loss
 from .metrics import boundary_f, iou, jf_score, mask_scores
-from .pipeline import downsample_mask, generate_prompts, init_params, upsample_map, watch_params
-from .reference import cycle_bias_reference, reference_forward, softmax_rows_reference
+from .pipeline import init_params, watch_params
+from .reference import (complex_step, cycle_bias_reference, reference_decode, reference_forward,
+                        softmax_rows_reference)
 from .seeding import derive_seed, rng_for, tag
-from .tensor import GradTape, Tensor, binarize, grad, masked_softmax_rows
+from .tensor import GradTape, Tensor, grad, masked_softmax_rows
 from .trainer import batch_forward, encode_episodes, grad_check
 from .video import make_tube, propagate_first_frame
 
@@ -54,10 +56,6 @@ def _run_trials(name: str, trials: int, trial: Callable[[int], str | None]) -> S
     return SuiteResult(name, trials, len(lines), tuple(lines[:5]))
 
 
-def _bias_pattern(values: np.ndarray) -> np.ndarray:
-    return np.isneginf(values)
-
-
 def run_cyc_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Random small affinities (half on a coarse grid to force ties) checked
     against the loop reference for an exactly equal keep/drop pattern."""
@@ -76,9 +74,9 @@ def run_cyc_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
         mask = rng.integers(0, 2, size=hw).astype(float)
         got = cycle_bias(Tensor(a), Tensor(mask))
         want = cycle_bias_reference(a, mask)
-        if not np.array_equal(_bias_pattern(got), _bias_pattern(want)):
+        if not np.array_equal(np.isneginf(got), np.isneginf(want)):
             return f"trial {t}: pattern mismatch for n={n} hw={hw}"
-        if not np.array_equal(got[~_bias_pattern(got)], want[~_bias_pattern(want)]):
+        if not np.array_equal(got[~np.isneginf(got)], want[~np.isneginf(want)]):
             return f"trial {t}: kept entries are not exactly zero"
         return None
 
@@ -129,48 +127,38 @@ def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4) -
     return _run_trials("grad", trials, trial)
 
 
-def batch_run(episodes, params, cfg, encoder) -> dict[str, np.ndarray]:
-    """Prompts, pseudo masks, probabilities, batch-mean loss and parameter
-    gradients of one stacked batch, from the training forward."""
+def _reference_rows(inputs, arrays: dict[str, np.ndarray], cfg) -> list[dict[str, np.ndarray]]:
+    """``reference_forward`` of each episode of ``encode_episodes``' output."""
+    enc_s, enc_q, mask_f, gt_f = inputs
+
+    def maps(enc, i):
+        return enc.mid.data[i], enc.high.data[i], enc.sam.data[i]
+
+    return [reference_forward(maps(enc_s, i), maps(enc_q, i), mask_f.data[i], gt_f.data[i],
+                              arrays, cfg) for i in range(mask_f.shape[0])]
+
+
+def batch_gradient_deviations(episodes, params, cfg, encoder, rng: np.random.Generator,
+                              per_tensor: bool = True) -> dict[str, float]:
+    """Along a random direction v per parameter tensor (``grad <name>``), or
+    one over all of them (``grad all``): the tape's sum(grad . v) of the
+    stacked training forward's batch-mean loss against the complex step of
+    the reference's, measured by ``batch_deviations``."""
     inputs = encode_episodes(episodes, encoder)
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)
-    prompts, pseudo, probs, loss = batch_forward(*inputs, tracked, cfg)
-    grads = grad(tape, loss)
-    out = {"pos": prompts.pos.data, "pseudo": pseudo.data, "probs": probs.data,
-           "loss": loss.data}
-    if prompts.neg is not None:
-        out["neg"] = prompts.neg.data
-    out.update({f"grad {name}": grads[t].data for name, t in name_map.items()})
-    return out
+    grads = grad(tape, batch_forward(*inputs, tracked, cfg)[3])
+    arrays = {name: t.data for name, t in params.named().items()}
+    v = {name: rng.normal(size=a.shape) for name, a in arrays.items()}
+    directions = {f"grad {n}": {n: v[n]} for n in v} if per_tensor else {"grad all": v}
 
+    def mean_loss(p):
+        return np.mean([row["loss"] for row in _reference_rows(inputs, p, cfg)])
 
-def batch_loop_reference(episodes, params, cfg, encoder) -> dict[str, np.ndarray]:
-    """The same quantities as the batched path, from single-episode calls:
-    results stacked in episode order, the loss summed in that order, and
-    the gradients of that loss taken on one tape."""
-    tape = GradTape()
-    tracked, name_map = watch_params(tape, params)
-    rows: dict[str, list[np.ndarray]] = {}
-    acc = None
-    for ep in episodes:
-        enc_s, enc_q = encoder.encode(ep.support_img), encoder.encode(ep.query_img)
-        mask_f = downsample_mask(ep.support_mask, encoder.stride)
-        prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, tracked, cfg)
-        probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.tau)
-        row = {"pos": prompts.pos, "pseudo": pseudo, "probs": probs}
-        if prompts.neg is not None:
-            row["neg"] = prompts.neg
-        for key, t in row.items():
-            rows.setdefault(key, []).append(t.data)
-        term = total_loss(probs, downsample_mask(ep.query_mask, encoder.stride))
-        acc = term if acc is None else T.add(acc, term)
-    loss = T.scale(acc, 1.0 / len(episodes))
-    grads = grad(tape, loss)
-    out = {key: np.stack(vals) for key, vals in rows.items()}
-    out["loss"] = loss.data
-    out.update({f"grad {name}": grads[t].data for name, t in name_map.items()})
-    return out
+    got = {label: sum(float(np.vdot(grads[name_map[n]].data, vn)) for n, vn in d.items())
+           for label, d in directions.items()}
+    want = {label: complex_step(mean_loss, arrays, d) for label, d in directions.items()}
+    return batch_deviations(got, want)
 
 
 # One ablation switch off per trial, in turn, then a strided encoder with a
@@ -193,12 +181,12 @@ def batch_deviations(got: dict[str, np.ndarray], want: dict[str, np.ndarray]) ->
 
 
 def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> SuiteResult:
-    """Batched episodes against a loop of single-episode calls.
+    """Batched gradients against the reference's complex step.
 
-    Per trial, a random batch runs under one of ``BATCH_VARIANTS``: prompts,
-    pseudo masks, probabilities, the loss and every parameter gradient must
-    agree within ``BATCH_TOL``. A random batched affinity (half on a coarse
-    grid to force ties) must give exactly the per-episode cycle biases.
+    Per trial, a random batch runs under one of ``BATCH_VARIANTS``, and
+    ``batch_gradient_deviations`` per parameter tensor must stay within
+    ``BATCH_TOL``. A random batched affinity (half on a coarse grid to force
+    ties) must give exactly ``cycle_bias_reference`` of each episode.
     """
     rng = rng_for(seed, tag("oracle"), 4)
 
@@ -210,8 +198,7 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
         b = int(rng.integers(1, max_batch + 1))
         episodes = [gen_episode(int(rng.integers(0, CLASS_COUNT)),
                                 derive_seed(cfg.seed, tag("oracle"), i), (8, 8)) for i in range(b)]
-        devs = batch_deviations(batch_run(episodes, params, cfg, encoder),
-                                batch_loop_reference(episodes, params, cfg, encoder))
+        devs = batch_gradient_deviations(episodes, params, cfg, encoder, rng)
         worst = max(devs, key=devs.get)
         problems = [f"{worst} deviates by {devs[worst]:.3e}"] if devs[worst] > BATCH_TOL else []
 
@@ -221,9 +208,9 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
             a = np.round(a)
         mask = rng.integers(0, 2, size=(b, hw)).astype(float)
         got = cycle_bias(Tensor(a), Tensor(mask))
-        want = np.stack([cycle_bias(Tensor(a[i]), Tensor(mask[i])) for i in range(b)])
+        want = np.stack([cycle_bias_reference(a[i], mask[i]) for i in range(b)])
         if not np.array_equal(got, want):
-            problems.append("cycle-bias pattern differs from the per-episode one")
+            problems.append("cycle-bias pattern differs from the per-episode reference")
         if problems:
             return f"trial {t} (B={b}, {variant or 'full model'}): {'; '.join(problems)}"
         return None
@@ -234,6 +221,21 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
 # Batch sizes of the ``reference`` suite, each under every batch variant.
 REFERENCE_CASES = tuple(itertools.product((1, 3, 32), BATCH_VARIANTS))
 REFERENCE_TOL = 1e-12
+
+
+def reference_deviations(inputs, params, cfg) -> dict[str, float]:
+    """``batch_deviations`` of production's batched forward on
+    ``encode_episodes``' output against ``reference_forward`` of each
+    episode: prompts, pseudo masks, probabilities and the batch-mean loss."""
+    prompts, pseudo, probs, loss = batch_forward(*inputs, params, cfg)
+    got = {"pos": prompts.pos.data, "pseudo": pseudo.data, "probs": probs.data,
+           "loss": loss.data}
+    if prompts.neg is not None:
+        got["neg"] = prompts.neg.data
+    rows = _reference_rows(inputs, {name: t.data for name, t in params.named().items()}, cfg)
+    want = {key: np.stack([row[key] for row in rows]) for key in got}
+    want["loss"] = want["loss"].mean()
+    return batch_deviations(got, want)
 
 
 def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> SuiteResult:
@@ -250,26 +252,10 @@ def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> Su
     def trial(t: int) -> str | None:
         b, variant = REFERENCE_CASES[t % len(REFERENCE_CASES)]
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 8, t), canvas=8, **variant)
-        encoder = cfg.encoder(cfg.seed)
-        params = init_params(cfg, cfg.seed)
         episodes = [gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
                                 (8, 8)) for _ in range(b)]
-        enc_s, enc_q, mask_f, gt_f = encode_episodes(episodes, encoder)
-        prompts, pseudo, probs, loss = batch_forward(enc_s, enc_q, mask_f, gt_f, params, cfg)
-        got = {"pos": prompts.pos.data, "pseudo": pseudo.data, "probs": probs.data,
-               "loss": loss.data}
-        if prompts.neg is not None:
-            got["neg"] = prompts.neg.data
-        arrays = {name: t.data for name, t in params.named().items()}
-
-        def maps(enc, i):
-            return enc.mid.data[i], enc.high.data[i], enc.sam.data[i]
-
-        rows = [reference_forward(maps(enc_s, i), maps(enc_q, i), mask_f.data[i], gt_f.data[i],
-                                  arrays, cfg) for i in range(b)]
-        want = {key: np.stack([row[key] for row in rows]) for key in got}
-        want["loss"] = want["loss"].mean()
-        devs = batch_deviations(got, want)
+        devs = reference_deviations(encode_episodes(episodes, cfg.encoder(cfg.seed)),
+                                    init_params(cfg, cfg.seed), cfg)
         worst = max(devs, key=devs.get)
         if devs[worst] > REFERENCE_TOL:
             return (f"trial {t} (B={b}, {variant or 'full model'}): "
@@ -279,37 +265,21 @@ def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> Su
     return _run_trials("reference", trials, trial)
 
 
-def tube_loop_reference(tube, support_img, support_mask, params, cfg, encoder
-                        ) -> tuple[np.ndarray, list[float], list[float]]:
-    """Predicted masks [T, H, W] and per-frame J and F of first-frame
-    propagation, one frame at a time: each frame encoded alone (frame 0 once
-    more for the prompts), decoded alone and scored by ``iou`` and
-    ``boundary_f``."""
-    mask_feat = downsample_mask(support_mask, encoder.stride)
-    prompts, _ = generate_prompts(encoder.encode(support_img), encoder.encode(tube.frames[0]),
-                                  mask_feat, params, cfg)
-    masks, js, fs = [], [], []
-    for frame, gt in zip(tube.frames, tube.masks):
-        probs = decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, cfg.tau)
-        mask = binarize(upsample_map(probs, encoder.stride))
-        masks.append(mask.data)
-        js.append(iou(mask, gt))
-        fs.append(boundary_f(mask, gt))
-    return np.stack(masks), js, fs
-
-
 # Tube lengths around the propagation chunk of 4 frames, up to the benchmark's 32.
 TUBE_CASES = tuple(itertools.product((1, 3, 4, 5, 9, 32), (16, 32), (1, 2), (True, False)))
 
 
 def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
-    """Chunked propagation and stacked J&F against the frame-by-frame loop.
+    """Chunked propagation and stacked J&F against the reference, per frame.
 
     Trial t runs case ``TUBE_CASES[t % len(TUBE_CASES)]`` (tube length,
     canvas, encoder stride, negative branch) on a random episode and random
-    parameters. The predicted masks must have equal bytes; the per-frame J
-    and F of ``mask_scores`` and the J and F of ``jf_score`` must equal the
-    reference's values and their means exactly.
+    parameters. The reference encodes each image alone (``project_reference``
+    of ``descriptors_reference``), takes the prompts of ``reference_forward``
+    on the support image and frame 0, and thresholds each frame's
+    ``reference_decode`` at 0.5, repeated by the stride. The predicted masks
+    must have its bytes; the per-frame J and F of ``mask_scores`` must equal
+    ``iou`` and ``boundary_f`` of its masks, and ``jf_score`` their means.
     """
     rng = rng_for(seed, tag("oracle"), 5)
 
@@ -323,12 +293,26 @@ def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
                          (canvas, canvas))
         tube = make_tube(ep, frames, int(rng.integers(0, 2**31)))
         pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
-        want_masks, want_j, want_f = tube_loop_reference(tube, ep.support_img, ep.support_mask,
-                                                         params, cfg, encoder)
+
+        def maps(img: Tensor):
+            return project_reference(encoder, descriptors_reference(img.data), img.shape)
+
+        def pooled(mask: Tensor) -> np.ndarray:
+            return mask.data.reshape(canvas // stride, stride, -1, stride).max(axis=(1, 3))
+
+        frame_maps = [maps(frame) for frame in tube.frames]
+        prompts = reference_forward(maps(ep.support_img), frame_maps[0], pooled(ep.support_mask),
+                                    pooled(tube.masks[0]),
+                                    {name: p.data for name, p in params.named().items()}, cfg)
+        want = [(reference_decode(prompts["pos"], prompts.get("neg"), sam, cfg.tau) >= 0.5)
+                .astype(np.float64).repeat(stride, axis=0).repeat(stride, axis=1)
+                for _, _, sam in frame_maps]
+        want_j = [iou(m, gt) for m, gt in zip(want, tube.masks)]
+        want_f = [boundary_f(m, gt) for m, gt in zip(want, tube.masks)]
         js, fs = mask_scores(pred.masks, tube.masks)
         report = jf_score(pred, tube)
         problems = []
-        if np.stack([m.data for m in pred.masks]).tobytes() != want_masks.tobytes():
+        if np.stack([m.data for m in pred.masks]).tobytes() != np.stack(want).tobytes():
             problems.append("predicted masks differ")
         if js.tolist() != want_j or fs.tolist() != want_f:
             problems.append("per-frame J or F differs")

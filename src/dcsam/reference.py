@@ -5,12 +5,16 @@ nothing from ``tensor``, ``pipeline``, ``attention``, ``decoder`` or
 ``losses``, takes no batch axis, builds no tape and writes every step in
 its most literal form. The cycle bias and the softmax run as scalar loops;
 the prior mask is the cosine of each query position against each masked
-support position, a row at a time. The ``reference`` oracle suite holds
-production's prompts, pseudo mask, probabilities and loss to it, so that a
-production kernel may change its bits as long as it keeps this result.
+support position, a row at a time. It is complex-safe (comparisons, maxima,
+the clamp and thresholds read the real part), so ``complex_step`` gives its
+exact gradients (Squire and Trapp, SIAM Review 40, 1998). The ``reference``
+oracle suite holds production's forward to it, the ``batch`` suite the
+tape's gradients and the ``tube`` suite propagation, so that a production
+kernel may change its bits as long as it keeps these results.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -19,20 +23,22 @@ PSEUDO_THRESHOLD = 0.5
 CLAMP_LO = 1e-7
 CLAMP_HI = 1.0 - 1e-7
 DICE_EPS = 1e-6
+COMPLEX_STEP = 1e-30
 
 
 def cycle_bias_reference(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Triple-loop round-trip bias with explicit first-max tie breaking."""
+    """Triple-loop round-trip bias, first max on ties, of the real part."""
     n, hw = a.shape
+    a = a.real.tolist()
     bias = np.empty(hw)
     for j in range(hw):
         i_star = 0
         for i in range(1, n):
-            if a[i, j] > a[i_star, j]:
+            if a[i][j] > a[i_star][j]:
                 i_star = i
         j_star = 0
         for jp in range(1, hw):
-            if a[i_star, jp] > a[i_star, j_star]:
+            if a[i_star][jp] > a[i_star][j_star]:
                 j_star = jp
         bias[j] = 0.0 if mask[j] == mask[j_star] else -np.inf
     return bias
@@ -41,12 +47,14 @@ def cycle_bias_reference(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def softmax_rows_reference(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Scalar-math row softmax; -inf bias entries contribute exactly zero."""
     rows, cols = x.shape
-    out = np.zeros((rows, cols))
+    out = np.zeros_like(x)
+    exp = cmath.exp if np.iscomplexobj(x) else math.exp
+    xs, bs = x.tolist(), bias.tolist()
     for r in range(rows):
-        logits = [x[r, c] + bias[c] for c in range(cols)]
-        live = [c for c in range(cols) if logits[c] != -np.inf]
-        top = max(logits[c] for c in live)
-        weights = [math.exp(logits[c] - top) for c in live]
+        logits = [xs[r][c] + bs[c] for c in range(cols)]
+        live = [c for c in range(cols) if logits[c].real != -math.inf]
+        top = max(logits[c].real for c in live)
+        weights = [exp(logits[c] - top) for c in live]
         total = sum(weights)
         for c, wgt in zip(live, weights):
             out[r, c] = wgt / total
@@ -93,11 +101,12 @@ def _attend(params, block, queries, feats, mask):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    ahead = x.real >= 0.0
+    e = np.exp(np.where(ahead, -x, x))
+    return np.where(ahead, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _decode(pos, neg, sam, tau):
+def reference_decode(pos, neg, sam, tau):
     """sigmoid of the positive minus the negative branch score, each
     tau * logsumexp over the prompts of <prompt, feature> / tau."""
     d, h, w = sam.shape
@@ -105,19 +114,20 @@ def _decode(pos, neg, sam, tau):
 
     def score(prompts):
         x = (prompts @ flat) / tau
-        top = x.max(axis=0)
+        top = x.real.max(axis=0)
         return tau * (top + np.log(np.exp(x - top).sum(axis=0)))
 
     logit = score(pos) if neg is None else score(pos) - score(neg)
     return _sigmoid(logit).reshape(h, w)
 
 
-def _loss(p: np.ndarray, y: np.ndarray) -> float:
+def _loss(p: np.ndarray, y: np.ndarray):
     """Mean BCE on predictions clamped to [1e-7, 1 - 1e-7], plus soft Dice."""
-    pc = np.clip(p, CLAMP_LO, CLAMP_HI)
+    inside = (p.real >= CLAMP_LO) & (p.real <= CLAMP_HI)
+    pc = np.where(inside, p, np.clip(p.real, CLAMP_LO, CLAMP_HI))
     bce = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean()
     dice = 1.0 - 2.0 * (p * y).sum() / ((p * p).sum() + (y * y).sum() + DICE_EPS)
-    return float(bce + dice)
+    return bce + dice
 
 
 def reference_forward(support: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -153,8 +163,8 @@ def reference_forward(support: tuple[np.ndarray, np.ndarray, np.ndarray],
     # the pseudo mask decodes the labeled mediate prompts against the
     # query's own SAM map, whatever the fusion switch says
     labeled = {br: mediate[br] + params[f"e_{br}"] for br in branches}
-    pseudo_probs = _decode(labeled["pos"], labeled.get("neg"), query[2], cfg.tau)
-    pseudo = (pseudo_probs >= PSEUDO_THRESHOLD).astype(np.float64)
+    pseudo_probs = reference_decode(labeled["pos"], labeled.get("neg"), query[2], cfg.tau)
+    pseudo = (pseudo_probs.real >= PSEUDO_THRESHOLD).astype(np.float64)
 
     out = {"pseudo": pseudo}
     for br in branches:
@@ -162,6 +172,14 @@ def reference_forward(support: tuple[np.ndarray, np.ndarray, np.ndarray],
         refined = _attend(params, "attn_query", mediate[br], tokens_q[br],
                           qm.reshape(-1) if cfg.use_cyc_bias else None)
         out[br] = _attend(params, "attn_self", refined, refined, None) + params[f"e_{br}"]
-    out["probs"] = _decode(out["pos"], out.get("neg"), query[2], cfg.tau)
+    out["probs"] = reference_decode(out["pos"], out.get("neg"), query[2], cfg.tau)
     out["loss"] = np.asarray(_loss(out["probs"], query_mask))
     return out
+
+
+def complex_step(f, params: dict[str, np.ndarray], direction: dict[str, np.ndarray]) -> float:
+    """Derivative of ``f(params)`` along ``direction`` (parameter name ->
+    array; absent names stay fixed): Im f(p + i h v) / h, no difference taken."""
+    shifted = {name: p + 1j * COMPLEX_STEP * direction[name] if name in direction else p
+               for name, p in params.items()}
+    return float(np.imag(f(shifted))) / COMPLEX_STEP

@@ -1,8 +1,12 @@
-"""Batched episodes against loops of single-episode calls.
+"""Batched episodes against the reference model and single-episode calls.
 
-The per-episode path is the oracle: every batched result must match it
-within 1e-12 (relative to the larger of 1 and the reference magnitude), and
-the cycle-bias keep/drop pattern must match exactly.
+``dcsam.reference`` is the oracle for the batched gradients: along random
+directions, the tape's derivative of a batch's mean loss must match the
+complex step of the reference's batch-mean loss within 1e-12 (relative to
+the larger of 1 and the reference magnitude), and every cycle-bias row the
+batch computes must equal the reference bias of its episode exactly. The
+``reference`` suite holds the batched forward to the same reference. A bad
+episode inside a batch must fail as it does alone.
 """
 import dataclasses
 
@@ -14,9 +18,9 @@ from dcsam import tensor as T
 from dcsam.config import TrainConfig
 from dcsam.episodes import CLASS_COUNT, gen_episode, split_folds, class_registry
 from dcsam.errors import AllMasked, EmptySupportMask, ShapeMismatch
-from dcsam.oracles import (BATCH_TOL, BATCH_VARIANTS, batch_run, batch_deviations,
-                           batch_loop_reference, run_batch_suite)
+from dcsam.oracles import BATCH_TOL, BATCH_VARIANTS, batch_gradient_deviations, run_batch_suite
 from dcsam.pipeline import generate_prompts, infer_mask, init_params
+from dcsam.reference import cycle_bias_reference
 from dcsam.tensor import GradTape, Tensor, grad
 from dcsam.trainer import evaluate, stack_episodes
 
@@ -26,14 +30,15 @@ def make_episodes(b, canvas=8, seed=0):
             for i in range(b)]
 
 
-def recorded_biases(monkeypatch, run):
-    """Cycle-bias rows produced while ``run()`` executes, one array per call."""
+def recorded_bias_calls(monkeypatch, run):
+    """The affinity, mask and bias of every cycle-bias call made while
+    ``run()`` executes, as arrays."""
     seen = []
     original = attention.cycle_bias
 
     def spy(a, mask):
         out = original(a, mask)
-        seen.append(out)
+        seen.append((a.data, mask.data, out))
         return out
 
     monkeypatch.setattr(attention, "cycle_bias", spy)
@@ -49,22 +54,19 @@ def test_batched_matches_episode_loop(monkeypatch, b, variant):
     encoder = cfg.encoder(cfg.seed)
     params = init_params(cfg, cfg.seed)
     episodes = make_episodes(b, seed=b)
-    got, got_bias = recorded_biases(monkeypatch,
-                                    lambda: batch_run(episodes, params, cfg, encoder))
-    want, want_bias = recorded_biases(
-        monkeypatch, lambda: batch_loop_reference(episodes, params, cfg, encoder))
-    devs = batch_deviations(got, want)
+    # one direction per tensor for small batches; for 32 episodes, one over
+    # every tensor at once, so the reference runs one complex forward each
+    devs, calls = recorded_bias_calls(monkeypatch, lambda: batch_gradient_deviations(
+        episodes, params, cfg, encoder, np.random.default_rng(b), per_tensor=b < 32))
+    assert len(devs) == (15 if b < 32 else 1)
     assert max(devs.values()) <= BATCH_TOL, devs
-    # the batched run makes each of its calls once for the whole batch; the
-    # loop makes the same calls once per episode, in the same order
-    calls = len(got_bias)
-    assert len(want_bias) == calls * b
-    if not cfg.use_cyc_bias:
-        assert calls == 0
-    for k, rows in enumerate(got_bias):
-        per_episode = np.stack(want_bias[k::calls])
-        assert np.array_equal(np.isneginf(rows), np.isneginf(per_episode))
-        assert np.array_equal(rows, per_episode)
+    # the batch makes each call once for all episodes: per branch, the
+    # support pass and the query pass
+    assert len(calls) == (2 * (1 + cfg.use_neg_branch) if cfg.use_cyc_bias else 0)
+    for a, mask, rows in calls:
+        assert rows.shape == mask.shape == (b, a.shape[-1])
+        for i in range(b):
+            assert np.array_equal(rows[i], cycle_bias_reference(a[i], mask[i]))
 
 
 def test_batch_suite_passes_and_catches_a_wrong_batched_gradient(monkeypatch):
@@ -81,6 +83,19 @@ def test_batch_suite_passes_and_catches_a_wrong_batched_gradient(monkeypatch):
     result = run_batch_suite(trials=6, seed=3, max_batch=4)
     assert not result.passed
     assert any("grad e_" in line for line in result.detail)
+
+
+def test_batch_suite_catches_a_matmul_gradient_off_by_one_part_in_a_billion(monkeypatch):
+    original = T._matmul_vjp
+
+    def scaled(g, a, b):
+        ga, gb = original(g, a, b)
+        return ga * (1.0 + 1e-9), gb
+
+    monkeypatch.setattr(T, "_matmul_vjp", scaled)
+    result = run_batch_suite(trials=6, seed=3, max_batch=3)
+    assert result.failures == 6
+    assert all("deviates by" in line for line in result.detail)
 
 
 def test_stack_episodes_equals_np_stack_and_shares_no_memory():

@@ -7,15 +7,20 @@ from dcsam import encoder as encoder_module
 from dcsam import episodes as episodes_module
 from dcsam import tensor as tensor_module
 from dcsam import video as video_module
+from dcsam.config import TrainConfig
+from dcsam.pipeline import init_params, prior_mask
 from dcsam.tensor import Tensor
+from dcsam.trainer import encode_episodes
 from dcsam.oracles import (
     EPISODE_FIELDS,
     FRAME_CASES,
     REFERENCE_CASES,
+    REFERENCE_TOL,
     SUITES,
     SuiteResult,
     descriptors_reference,
     episode_reference,
+    reference_deviations,
     run_cyc_suite,
     run_encoder_suite,
     run_episodes_suite,
@@ -115,8 +120,25 @@ def test_reference_suite_catches_a_conv1x1_off_by_one_part_in_a_billion(monkeypa
     assert "deviates by" in result.detail[0]
 
 
+def test_a_flat_prior_is_zeros_in_production_and_in_the_reference():
+    cfg = TrainConfig(seed=5, canvas=8)
+    episodes = [episodes_module.gen_episode(c, 40 + c, (8, 8)) for c in (0, 5, 9)]
+    enc_s, enc_q, mask_f, gt_f = encode_episodes(episodes, cfg.encoder(cfg.seed))
+
+    def flat(maps):
+        # every position carries the first one's high vector: all cosines are equal
+        high = np.broadcast_to(maps.high.data[..., :1, :1], maps.high.shape)
+        return dataclasses.replace(maps, high=Tensor(high))
+
+    enc_s, enc_q = flat(enc_s), flat(enc_q)
+    for mask in (mask_f, Tensor(1.0 - mask_f.data)):
+        assert not prior_mask(enc_q.high, enc_s.high, mask).data.any()
+    devs = reference_deviations((enc_s, enc_q, mask_f, gt_f), init_params(cfg, cfg.seed), cfg)
+    assert max(devs.values()) <= REFERENCE_TOL, devs
+
+
 def test_tube_suite_passes_and_catches_misordered_frames(monkeypatch):
-    assert run_tube_suite(trials=12, seed=0).passed
+    assert run_tube_suite().passed
     original = video_module.decode
 
     def reversed_stack(pos, neg, feats, cfg):
@@ -139,7 +161,7 @@ def test_descriptors_reference_hand_values():
 
 
 def test_encoder_suite_passes_and_catches_a_perturbed_deviation(monkeypatch):
-    assert run_encoder_suite(trials=16, seed=3).passed
+    assert run_encoder_suite().passed
     original = encoder_module._descriptors
 
     def nudged(img):
@@ -194,7 +216,7 @@ def test_fallback_footprints_match_the_reference(canvas):
 
 
 def test_episodes_suite_passes_and_catches_a_short_stamp(monkeypatch):
-    assert run_episodes_suite(trials=32, seed=1).passed
+    assert run_episodes_suite().passed
     original = episodes_module._diamond_stamp
 
     def one_row_short(r):

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcsam import video
 from dcsam.config import TrainConfig
 from dcsam.encoder import StubEncoder
 from dcsam.episodes import gen_episode
 from dcsam.errors import FrameCountMismatch, IoError, ShapeMismatch
-from dcsam.oracles import tube_loop_reference
-from dcsam.pipeline import downsample_mask, generate_prompts, infer_mask, init_params
+from dcsam.pipeline import infer_mask, init_params
 from dcsam.tensor import Tensor, binarize
 from dcsam.video import (
-    FRAME_CHUNK,
     MaskTube,
     TransformSpec,
     load_tube,
@@ -323,21 +322,25 @@ def test_propagation_keeps_frames_and_transforms():
         assert np.isin(mask.data, (0.0, 1.0)).all()
 
 
-@pytest.mark.parametrize("stride,neg", [(1, True), (2, True), (2, False)])
-def test_chunked_propagation_equals_the_frame_loop(stride, neg):
-    cfg = TrainConfig(seed=3, stride=stride, use_neg_branch=neg)
-    params = init_params(cfg, seed=6)
-    encoder = cfg.encoder(seed=3)
-    ep = gen_episode(3, 12, (16, 16))
-    for frames in (FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1):
+@pytest.mark.parametrize("stride,neg", [(1, True), (1, False), (2, True), (2, False)])
+def test_chunked_propagation_equals_the_frame_loop(monkeypatch, stride, neg):
+    # a chunk of 1 frame is the frame-by-frame loop; the ``tube`` oracle
+    # suite holds the chunked masks to the reference model as well
+    for canvas, frames in ((16, 3), (16, 4), (16, 5), (16, 9), (16, 32), (32, 32)):
+        cfg = TrainConfig(seed=3, canvas=canvas, stride=stride, use_neg_branch=neg)
+        params = init_params(cfg, seed=6)
+        encoder = cfg.encoder(seed=3)
+        ep = gen_episode(3, 12, (canvas, canvas))
         tube = make_tube(ep, frames, seed=frames)
-        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
-        want, _, _ = tube_loop_reference(tube, ep.support_img, ep.support_mask,
-                                         params, cfg, encoder)
-        got = np.stack([m.data for m in pred.masks])
-        assert got.tobytes() == want.tobytes()
+        masks = []
+        for chunk in (1, 4, frames):
+            monkeypatch.setattr(video, "FRAME_CHUNK", chunk)
+            pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg,
+                                         encoder)
+            masks.append(np.stack([m.data for m in pred.masks]))
+        assert masks[0].tobytes() == masks[1].tobytes() == masks[2].tobytes()
         if neg:  # without the negative branch, untrained prompts fill the frame
-            assert 0.0 < got.mean() < 1.0
+            assert 0.0 < masks[0].mean() < 1.0
 
 
 def test_propagation_projects_mid_and_high_for_frame_zero_only(monkeypatch):
