@@ -13,10 +13,15 @@ projects them to ``sam`` alone.
 
 The statistics are 15 per pixel: intensity, the 3x3 mean, max, min and
 deviation, the 5x5 and 7x7 means and deviations, the residual from the 3x3
-mean, two gradients, two coordinates and a constant. Windows are shifted
-slices of one edge-padded copy of the image, reduced in place slice by
-slice; ``oracles.descriptors_reference`` keeps the stacked form, and the
-``encoder`` oracle suite holds the two to equal bytes.
+mean, two gradients, two coordinates and a constant. Windows are separable
+row and column passes over one edge-padded copy of the image;
+``oracles.descriptors_reference`` keeps the stacked form. The ``encoder``
+oracle suite holds intensity, max, min, gradients, coordinates and the
+constant to its bytes on every image, the means and the residual to its
+bytes on grid images (exact window sums) and within
+``oracles.DESCRIPTOR_ULPS`` elsewhere, and the deviations within that bound
+on every image; the maps must have the bytes of the reference projection of
+the same descriptors.
 """
 from __future__ import annotations
 
@@ -117,6 +122,23 @@ class StubEncoder:
 _PAD = 3  # the widest window's radius: every window is a set of slices of one pad
 
 
+def _fold(op, terms, out: np.ndarray) -> None:
+    """``op(...op(op(terms[0], terms[1]), terms[2])..., terms[-1])``, in place in ``out``."""
+    op(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        op(out, term, out=out)
+
+
+def _sum_sq_dev(terms, center: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """The sum of ``(term - center)**2`` over ``terms``, in order, in ``out``."""
+    np.subtract(terms[0], center, out=out)
+    np.square(out, out=out)
+    for term in terms[1:]:
+        np.subtract(term, center, out=scratch)
+        np.square(scratch, out=scratch)
+        out += scratch
+
+
 def _descriptors(img: np.ndarray) -> np.ndarray:
     """Per-pixel local statistics of an image [H, W] -> [HW, 15], or of a
     stack [B, H, W] -> [B, HW, 15].
@@ -125,68 +147,80 @@ def _descriptors(img: np.ndarray) -> np.ndarray:
     deviations respond to fill texture (stripes, checkering); gradients mark
     edges; coordinates let projections encode coarse position.
 
-    Every window (radius 1, 2 or 3) is a set of shifted slices of one edge
-    pad, flattened: a shift of (r, c) is an offset of ``r * padded_width +
-    c``, so each slice is contiguous. Positions past an image's right or
-    bottom edge are computed too and dropped at the end. A window's mean
-    and deviation accumulate one slice at a time in (row, column) order,
-    ending with ``/ n``: that is the order and rounding of ``mean`` and
-    ``std`` over a stack of the slices, so the statistics are bit for bit
-    those of ``oracles.descriptors_reference``.
+    Every window (radius 1, 2 or 3, k = 2r + 1) is separable over one edge
+    pad, flattened, so that a shift of (r, c) is an offset of ``r *
+    padded_width + c`` and each shifted operand is a contiguous slice. A row
+    pass gives each padded row's k-wide sum, mean and squared-deviation sum
+    M2 (two-pass, about that row's own mean); a column pass then adds k row
+    sums and divides by k**2 once, takes 3x3 max and min the same way, and
+    merges k rows' moments (Chan, Golub & LeVeque, 1979):
+
+        M2 = sum over rows of M2_row + k * sum over rows of (mean_row - mean)**2
+
+    Every term is a square, so nothing cancels, with no offset and no
+    special case for flat windows. Positions in the pad's margins are
+    computed too and cropped at the end.
     """
     h, w = img.shape[-2:]
     lead = img.shape[:-2]
-    padded = np.pad(img, [(0, 0)] * len(lead) + [(_PAD, _PAD)] * 2, mode="edge")
+    padded = np.empty(lead + (h + 2 * _PAD, w + 2 * _PAD))  # the edge pad, as np.pad builds it
+    padded[..., _PAD:-_PAD, _PAD:-_PAD] = img
+    padded[..., _PAD:-_PAD, :_PAD] = img[..., :, :1]
+    padded[..., _PAD:-_PAD, -_PAD:] = img[..., :, -1:]
+    padded[..., :_PAD, :] = padded[..., _PAD:_PAD + 1, :]
+    padded[..., -_PAD:, :] = padded[..., -_PAD - 1:-_PAD, :]
     pw = w + 2 * _PAD
     flat = padded.reshape(-1)
-    n = flat.size - 2 * _PAD * (pw + 1)  # positions whose widest window fits
+    n = flat.size - 2 * _PAD     # row pass: every position whose widest row window fits
+    m = n - 2 * _PAD * pw        # column pass: every position whose widest window fits
 
-    def window(radius):
-        lo = _PAD - radius
-        return [flat[(lo + r) * pw + lo + c:][:n]
-                for r in range(2 * radius + 1) for c in range(2 * radius + 1)]
+    def row(a, shift=0):         # ``a`` at the row pass's positions, ``shift`` columns over
+        return a[_PAD + shift:][:n]
 
-    def crop(buf):
-        return buf.reshape(padded.shape)[..., :h, :w]
+    def col(a, shift=0):         # ``a`` at the column pass's positions, ``shift`` rows down
+        return a[_PAD * (pw + 1) + shift * pw:][:m]
+
+    def crop(a):
+        return a.reshape(padded.shape)[..., _PAD:_PAD + h, _PAD:_PAD + w]
 
     desc = np.empty(lead + (_DESC_DIM, h, w))
     value, mean3, max3, min3, std3, mean5, std5, mean7, std7, resid, gx, gy, yy, xx, ones = (
         desc[..., k, :, :] for k in range(_DESC_DIM))
     value[...] = img
-    # accumulators span the whole pad so that crop() can view them
-    mean_buf, std_buf = np.empty(flat.size), np.empty(flat.size)
-    mean, std, scratch = mean_buf[:n], std_buf[:n], np.empty(n)
+    # row statistics and column results span the whole pad so that col() and crop() can view them
+    row_sum, row_mean, row_m2, mean_buf, m2_buf = np.empty((5, flat.size))
+    scratch, between = np.empty(n), np.empty(m)
+    rs, mean, m2 = row(row_sum), col(mean_buf), col(m2_buf)
+    np.copyto(rs, row(flat))
     for radius, mean_out, std_out in ((1, mean3, std3), (2, mean5, std5), (3, mean7, std7)):
-        views = window(radius)
-        np.copyto(mean, views[0])
-        for v in views[1:]:
-            mean += v
-        mean /= len(views)
-        np.subtract(views[0], mean, out=std)
-        std *= std
-        for v in views[1:]:
-            np.subtract(v, mean, out=scratch)
-            scratch *= scratch
-            std += scratch
-        std /= len(views)
-        np.sqrt(std, out=std)
+        k = 2 * radius + 1
+        shifts = range(-radius, radius + 1)
+        rs += row(flat, -radius)   # the row sum grows by the window's two new columns
+        rs += row(flat, radius)
+        np.multiply(rs, 1.0 / k, out=row(row_mean))   # feeds only the deviations
+        _sum_sq_dev([row(flat, c) for c in shifts], row(row_mean), row(row_m2), scratch)
+        _fold(np.add, [col(row_sum, r) for r in shifts], mean)
+        mean /= k * k
+        _fold(np.add, [col(row_m2, r) for r in shifts], m2)
+        _sum_sq_dev([col(row_mean, r) for r in shifts], mean, between, scratch[:m])
+        between *= k
+        m2 += between
+        m2 *= 1.0 / (k * k)
+        np.sqrt(m2, out=m2)
         mean_out[...] = crop(mean_buf)
-        std_out[...] = crop(std_buf)
-    near = window(1)  # the same two buffers now hold the running max and min
-    np.copyto(mean, near[0])
-    np.copyto(std, near[0])
-    for v in near[1:]:
-        np.maximum(mean, v, out=mean)
-        np.minimum(std, v, out=std)
-    max3[...] = crop(mean_buf)
-    min3[...] = crop(std_buf)
+        std_out[...] = crop(m2_buf)
+    for op, rows, out, dest in ((np.maximum, row_sum, mean_buf, max3),
+                                (np.minimum, row_mean, m2_buf, min3)):
+        _fold(op, [row(flat, c) for c in (-1, 0, 1)], row(rows))
+        _fold(op, [col(rows, r) for r in (-1, 0, 1)], col(out))
+        dest[...] = crop(out)
     np.subtract(img, mean3, out=resid)
     np.abs(resid, out=resid)
     np.subtract(padded[..., _PAD:_PAD + h, _PAD + 1:_PAD + 1 + w],
                 padded[..., _PAD:_PAD + h, _PAD - 1:_PAD - 1 + w], out=gx)
     np.subtract(padded[..., _PAD + 1:_PAD + 1 + h, _PAD:_PAD + w],
                 padded[..., _PAD - 1:_PAD - 1 + h, _PAD:_PAD + w], out=gy)
-    yy[...], xx[...] = np.meshgrid(np.linspace(0.0, 1.0, h), np.linspace(0.0, 1.0, w),
-                                   indexing="ij")
+    yy[...] = np.linspace(0.0, 1.0, h)[:, None]
+    xx[...] = np.linspace(0.0, 1.0, w)
     ones[...] = 1.0
     return np.swapaxes(desc.reshape(lead + (_DESC_DIM, h * w)), -1, -2)

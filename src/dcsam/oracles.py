@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .attention import cycle_bias
+from . import encoder as encoder_module
 from .config import TrainConfig
 from .encoder import StubEncoder
 from .episodes import (CLASS_COUNT, MAX_AREA_FRAC, MAX_OVERLAP_FRAC, MIN_AREA_FRAC, Episode,
@@ -338,7 +339,15 @@ def _window_stack(img: np.ndarray, radius: int) -> np.ndarray:
 def descriptors_reference(img: np.ndarray) -> np.ndarray:
     """The stub encoder's 15 per-pixel statistics of an image [H, W] ->
     [HW, 15], or of a stack [B, H, W] -> [B, HW, 15], from stacked windows
-    reduced by ``mean``, ``std``, ``max`` and ``min``."""
+    reduced by ``mean``, ``std``, ``max`` and ``min``, column by column as
+    ``DESCRIPTOR_COLUMNS`` names them.
+
+    The encoder computes its windows separably, so ``descriptor_mismatches``
+    holds it to this reference column by column: intensity, max, min,
+    gradients, coordinates and the constant as equal bytes; the means and
+    the residual as equal bytes on grid images (exact window sums) and
+    within ``DESCRIPTOR_ULPS`` otherwise; the deviations within
+    ``DESCRIPTOR_ULPS`` on every image."""
     h, w = img.shape[-2:]
     near = _window_stack(img, 1)
     wide = _window_stack(img, 2)
@@ -353,6 +362,43 @@ def descriptors_reference(img: np.ndarray) -> np.ndarray:
                      np.abs(img - mean3), gx, gy, np.broadcast_to(yy, img.shape),
                      np.broadcast_to(xx, img.shape), np.ones_like(img)], axis=-3)
     return np.swapaxes(desc.reshape(img.shape[:-2] + (desc.shape[-3], h * w)), -1, -2)
+
+
+DESCRIPTOR_COLUMNS = ("value", "mean3", "max3", "min3", "std3", "mean5", "std5", "mean7", "std7",
+                      "resid", "gx", "gy", "y", "x", "one")
+# Columns built from window sums: exact, so equal bytes, only when every sum is.
+_SUMMED_COLUMNS = frozenset({"mean3", "mean5", "mean7", "resid"})
+_DEVIATION_COLUMNS = frozenset({"std3", "std5", "std7"})
+# The bound, in units in the last place of the image's largest magnitude, on
+# columns whose sums are rounded. The stacked reference rounds up to 49 sums
+# in sequence; over 9,600 images of eight kinds (uniform, float32-valued,
+# 1/1024 grid, constant, near-constant, scaled and shifted, step, two-level)
+# the means differed by at most 14 such units and the deviations by 10.
+DESCRIPTOR_ULPS = 32
+
+
+def descriptor_mismatches(desc: np.ndarray, img: np.ndarray, grid: bool) -> list[str]:
+    """The columns of ``desc``, an image's (or stack's) production
+    descriptors, that break the encoder's contract with
+    ``descriptors_reference``, one line each; empty when none does.
+
+    The deviations must lie within ``DESCRIPTOR_ULPS`` units in the last
+    place of ``max |img|``, and so must the means and the residual unless
+    ``grid`` says every window sum is exact (values on the 1/1024 grid, as
+    episode images and tube frames are), where they must have equal bytes.
+    Every other column must have equal bytes."""
+    want = descriptors_reference(img)
+    tol = DESCRIPTOR_ULPS * np.spacing(np.abs(img).max())
+    lines = []
+    for k, name in enumerate(DESCRIPTOR_COLUMNS):
+        got, ref = desc[..., k], want[..., k]
+        if name in _DEVIATION_COLUMNS or (name in _SUMMED_COLUMNS and not grid):
+            dev = np.abs(got - ref).max()
+            if not dev <= tol:
+                lines.append(f"{name} off by {dev:.3g} (bound {tol:.3g})")
+        elif got.tobytes() != ref.tobytes():
+            lines.append(f"{name} bytes differ")
+    return lines
 
 
 def project_reference(encoder: StubEncoder, desc: np.ndarray, shape: tuple[int, ...]
@@ -386,18 +432,18 @@ FRAME_CASES = tuple(itertools.product((1, 3, 4, 5, 32), (16, 32), (1, 2)))
 
 def run_encoder_suite(trials: int = len(ENCODER_CASES) + len(FRAME_CASES), seed: int = 0
                       ) -> SuiteResult:
-    """``StubEncoder.encode`` against ``project_reference`` of the
-    stacked-window reference descriptors, then ``encode_frames`` against
-    ``encode``.
+    """The encoder's descriptors against ``descriptors_reference``, its maps
+    against ``project_reference`` of those descriptors, then
+    ``encode_frames`` against ``encode``.
 
     Trial t runs case ``t % (len(ENCODER_CASES) + len(FRAME_CASES))`` of the
-    two tables in turn, with a random encoder seed. Episode images lie on a
-    1/1024 grid, so their window sums are exact in any order; uniform random
-    images are not, so they also pin the order of every sum. All three maps
-    must have equal bytes. A frame case encodes the frames of a random tube:
-    frame 0's three maps must have the bytes of ``encode(frames[0])``, and
-    the ``sam`` maps of every frame, with and without frame 0's maps, those
-    of ``encode(frames, batched=True)``.
+    two tables in turn, with a random encoder seed. An image case holds the
+    production descriptors to ``descriptor_mismatches``, episode images as
+    grid images and uniform random ones not, and ``encode``'s three maps to
+    the bytes of ``project_reference`` of the same descriptors. A frame case
+    encodes the frames of a random tube: frame 0's three maps must have the
+    bytes of ``encode(frames[0])``, and the ``sam`` maps of every frame, with
+    and without frame 0's maps, those of ``encode(frames, batched=True)``.
     """
     rng = rng_for(seed, tag("oracle"), 6)
 
@@ -412,13 +458,17 @@ def run_encoder_suite(trials: int = len(ENCODER_CASES) + len(FRAME_CASES), seed:
             img = np.stack([ep.support_img.data if i % 2 else ep.query_img.data
                             for i, ep in enumerate(eps)]).reshape(shape)
         encoder = TrainConfig(seed=0, stride=stride).encoder(int(rng.integers(0, 2**31)))
+        desc = encoder_module._descriptors(img)
+        problems = descriptor_mismatches(desc, img, grid=source == "episode")
         got = encoder.encode(Tensor(img), batched=count is not None)
-        want = project_reference(encoder, descriptors_reference(img), shape)
+        want = project_reference(encoder, desc, shape)
         differ = [name for name, ref in zip(("mid", "high", "sam"), want)
                   if getattr(got, name).data.tobytes() != ref.tobytes()]
         if differ:
+            problems.append(f"{', '.join(differ)} maps differ")
+        if problems:
             return (f"trial {t} (shape {shape}, stride {stride}, {source} images): "
-                    f"{', '.join(differ)} maps differ")
+                    f"{'; '.join(problems)}")
         return None
 
     def frame_trial(t: int, case) -> str | None:

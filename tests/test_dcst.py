@@ -116,6 +116,17 @@ def test_missing_file(tmp_path):
         read_tensor(tmp_path / "absent.dcst")
 
 
+def test_a_write_under_a_regular_file_raises_io_error_naming_the_path(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory")
+    for path in (blocker / "t.dcst", blocker / "sub" / "t.dcst"):
+        with pytest.raises(IoError, match="cannot write") as caught:
+            write_tensor(path, Tensor([1.0, 2.0]))
+        assert str(path) in str(caught.value)
+    assert blocker.read_bytes() == b"not a directory"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_round_trip_preserves_float32_exactly(r, c, seed):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dcsam import encoder as encoder_module
 from dcsam.encoder import StubEncoder
 from dcsam.errors import ShapeMismatch
+from dcsam.oracles import ENCODER_CASES, descriptor_mismatches, run_encoder_suite
 from dcsam.tensor import Tensor
 
 # The widths of a default config's encoder.
@@ -82,3 +84,55 @@ def test_encode_frames_projects_frame_zero_only_when_asked(rng):
         enc.encode_frames(frames[0], first=True)  # one image, not a stack
     with pytest.raises(ShapeMismatch):
         enc.encode_frames(rng.random((2, 7, 8)), first=False)  # not divisible by stride
+
+
+def _step(h, w):
+    img = np.full((h, w), 0.3)
+    img[:, w // 2:] = 0.9
+    return img
+
+
+# Flat and near-flat windows, where a variance formula that cancels goes
+# wrong; none lies on the 1/1024 grid, so all are held within the bound.
+FLAT_IMAGES = {
+    "constant 0.7": lambda rng: np.full((16, 16), 0.7),
+    "0.7 plus 1e-9 noise": lambda rng: 0.7 + 1e-9 * rng.standard_normal((16, 16)),
+    "0.3/0.9 step": lambda rng: _step(16, 24),
+    "0.3/0.9 step, transposed": lambda rng: _step(24, 16).T.copy(),
+    "uniform random": lambda rng: rng.random((3, 12, 16)),
+    "float32-valued random": lambda rng: rng.random((16, 16)).astype(np.float32).astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_IMAGES))
+def test_descriptors_match_the_reference_on_flat_and_random_images(name, rng):
+    img = FLAT_IMAGES[name](rng)
+    desc = encoder_module._descriptors(img)
+    assert descriptor_mismatches(desc, img, grid=False) == []
+    if name == "constant 0.7":   # a flat window's deviation is a rounding error, not 2e-7
+        assert np.abs(desc[:, [4, 6, 8]]).max() < 1e-14
+
+
+def _mutated_suite(monkeypatch, column, change):
+    original = encoder_module._descriptors
+
+    def mutated(img):
+        desc = original(img).copy()
+        desc[..., column] = change(desc[..., column])
+        return desc
+
+    monkeypatch.setattr(encoder_module, "_descriptors", mutated)
+    return run_encoder_suite(trials=16, seed=3)
+
+
+def test_encoder_suite_catches_a_mean_one_ulp_off_on_episode_images(monkeypatch):
+    result = _mutated_suite(monkeypatch, 5, lambda mean5: np.nextafter(mean5, np.inf))
+    episode_cases = sum(case[3] == "episode" for case in ENCODER_CASES[:16])
+    assert result.failures == episode_cases == 8
+    assert "mean5 bytes differ" in result.detail[0]
+
+
+def test_encoder_suite_catches_a_deviation_off_by_one_part_in_a_trillion(monkeypatch):
+    result = _mutated_suite(monkeypatch, 6, lambda std5: std5 * (1.0 + 1e-12))
+    assert result.failures == 16
+    assert "std5 off by" in result.detail[0]
