@@ -28,8 +28,9 @@ from .pipeline import (ModelParams, PromptSet, generate_prompts, infer_mask, ini
                        prior_mask, watch_params)
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, detach, grad, zeros
-from .trainer import (AdamW, GradCheckResult, TrainResult, cosine_lr, evaluate,
-                      grad_check, load_checkpoint, save_checkpoint, train)
+from .trainer import (AdamW, GradCheckResult, TrainResult, TrainState, cosine_lr, evaluate,
+                      grad_check, initial_state, load_checkpoint, save_checkpoint, train,
+                      train_step)
 from .video import MaskTube, TransformSpec, load_tube, make_tube, propagate_first_frame, save_tube, warp
 
 __all__ = [
@@ -52,8 +53,8 @@ __all__ = [
     "prior_mask", "watch_params",
     "derive_seed", "episode_seed", "rng_for", "tag",
     "GradTape", "Tensor", "binarize", "detach", "grad", "zeros",
-    "AdamW", "GradCheckResult", "TrainResult", "cosine_lr", "evaluate", "grad_check",
-    "load_checkpoint", "save_checkpoint", "train",
+    "AdamW", "GradCheckResult", "TrainResult", "TrainState", "cosine_lr", "evaluate",
+    "grad_check", "initial_state", "load_checkpoint", "save_checkpoint", "train", "train_step",
     "MaskTube", "TransformSpec", "load_tube", "make_tube", "propagate_first_frame",
     "save_tube", "warp",
 ]

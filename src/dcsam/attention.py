@@ -44,7 +44,7 @@ class AttentionBlock:
         if len(d) != 2 or d[0] != d[1]:
             raise ShapeMismatch(f"wq must be square, got {d}")
         if self.wk.shape != d or self.wv.shape != d:
-            raise ShapeMismatch("projection weights must share one square shape")
+            raise ShapeMismatch(f"wk {self.wk.shape} and wv {self.wv.shape} must match wq {d}")
 
 
 def affinity(q: Tensor, k: Tensor) -> Tensor:

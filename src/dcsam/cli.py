@@ -19,9 +19,7 @@ from pathlib import Path
 from . import __version__
 from .config import TrainConfig, apply_ablation, load_config
 from .episodes import class_registry, gen_episode, load_episode, save_episode, split_folds
-from .errors import (AllMasked, CheckpointMissing, ConfigError, DivergenceDetected,
-                     EmptyReport, EmptySupportMask, FrameCountMismatch, IoError,
-                     NonDivisibleClassCount, ShapeMismatch, UnknownClass, UntrackedLoss)
+from .errors import AllMasked, CheckpointMissing, DcsamError, DivergenceDetected, IoError
 from .metrics import MetricReport, mask_scores, write_report
 from .oracles import SUITES
 from .trainer import evaluate, load_checkpoint, save_checkpoint, train
@@ -32,9 +30,7 @@ _VERSION_TAG = f"dcsam-{__version__}"
 
 _NUMERICAL = (DivergenceDetected, AllMasked, FloatingPointError)
 _IO = (IoError, CheckpointMissing, OSError)
-_VALIDATION = (ConfigError, UnknownClass, NonDivisibleClassCount, ShapeMismatch,
-               EmptySupportMask, FrameCountMismatch, EmptyReport, UntrackedLoss,
-               ValueError)
+_VALIDATION = (DcsamError, ValueError)     # every other error: checked after the two above
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,26 +194,18 @@ def cmd_tube(args, argv: list[str]) -> int:
 
 
 def cmd_oracle(args, argv: list[str]) -> int:
-    suite = SUITES[args.suite]
-    kwargs = {"seed": args.seed}
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        kwargs["trials"] = args.trials
-    result = suite(**kwargs)
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    trials = {} if args.trials is None else {"trials": args.trials}
+    result = SUITES[args.suite](seed=args.seed, **trials)
     print(result.summary())
     for line in result.detail:
         print(f"  {line}")
     return 0 if result.passed else 2
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "tube": cmd_tube,
-    "oracle": cmd_oracle,
-}
+_COMMANDS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "tube": cmd_tube,
+             "oracle": cmd_oracle}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -226,18 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, argv)
-    except _NUMERICAL as exc:
+    except _NUMERICAL + _IO + _VALIDATION as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _IO as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _VALIDATION as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _NUMERICAL) else 3 if isinstance(exc, _IO) else 1
     except SystemExit as exc:  # argparse --help
-        code = exc.code
-        return code if isinstance(code, int) else 0
+        return exc.code if isinstance(exc.code, int) else 0
 
 
 if __name__ == "__main__":

@@ -150,10 +150,7 @@ def config_text(cfg: TrainConfig) -> str:
 def apply_ablation(cfg: TrainConfig, tokens: str) -> TrainConfig:
     """Clear the switches named by a comma-separated token list (e.g. 'no-cyc,no-neg')."""
     updates: dict[str, bool] = {}
-    for token in tokens.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in filter(None, map(str.strip, tokens.split(","))):
         if token not in ABLATION_TOKENS:
             raise ConfigError(
                 f"unknown ablation token {token!r}; known: {', '.join(sorted(ABLATION_TOKENS))}")

@@ -6,6 +6,7 @@ float64 in memory and round-trip through 32 bits on disk.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -99,9 +100,7 @@ def tensor_from_bytes(raw: bytes, *, source: str = "<bytes>") -> Tensor:
     dims = struct.unpack(f"<{rank}I", raw[6:dim_end]) if rank else ()
     if any(d == 0 for d in dims):
         raise IoError(f"{source}: zero-sized dimension in {dims}")
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     if count > _MAX_ELEMENTS:
         raise IoError(f"{source}: element count {count} exceeds the reader limit")
     payload = raw[dim_end:]

@@ -52,7 +52,7 @@ class StubEncoder:
 
     def __init__(self, seed: int, d_mid: int, d_high: int, d_sam: int, stride: int):
         if min(d_mid, d_high, d_sam) < 1 or stride < 1:
-            raise ShapeMismatch("encoder widths and stride must be positive")
+            raise ShapeMismatch(f"widths {(d_mid, d_high, d_sam)} and stride {stride} must be positive")
         self.seed = int(seed)
         self.d_mid = int(d_mid)
         self.d_high = int(d_high)

@@ -450,7 +450,7 @@ def sum_all(a: Tensor, batched: bool = False) -> Tensor:
     shape = a.shape
     if batched:
         if a.ndim < 1:
-            raise ShapeMismatch("sum_all(batched=True) needs a batch axis")
+            raise ShapeMismatch(f"sum_all(batched=True) needs a batch axis, got shape {shape}")
         out = a.data.reshape(shape[0], -1).sum(axis=1)
     else:
         out = np.asarray(a.data.sum())

@@ -1,4 +1,7 @@
-"""Episodic training, evaluation, and the finite-difference gradient audit."""
+"""Episodic training, evaluation, and the finite-difference gradient audit.
+
+``train`` is a loop of ``train_step``, which maps one frozen ``TrainState`` to
+the next, so a run continued from any kept state gives the same bytes."""
 from __future__ import annotations
 
 import math
@@ -35,6 +38,8 @@ FD_STEP = 1e-5
 FD_DENOM_FLOOR = 1e-6
 FD_THRESHOLD = 1e-4
 
+Moments = dict[str, np.ndarray]     # an AdamW moment estimate per parameter name
+
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     """Cosine decay from base_lr at step 0 to exactly 0 at step == total_steps."""
@@ -45,6 +50,7 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+@dataclass(frozen=True)
 class AdamW:
     """Adam with decoupled weight decay and cosine learning-rate decay.
 
@@ -53,36 +59,31 @@ class AdamW:
     overflows a parameter raises DivergenceDetected.
     """
 
-    def __init__(self, lr: float, total_steps: int, weight_decay: float):
-        self.lr = float(lr)
-        self.total_steps = int(total_steps)
-        self.weight_decay = float(weight_decay)
-        self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+    lr: float
+    total_steps: int
+    weight_decay: float
 
-    def step(self, named: dict[str, Tensor], grads: dict[str, Tensor]) -> dict[str, Tensor]:
-        lr_t = cosine_lr(self.lr, self.t, self.total_steps)
-        self.t += 1
-        correction1 = 1.0 - BETA1 ** self.t
-        correction2 = 1.0 - BETA2 ** self.t
-        out: dict[str, Tensor] = {}
+    def step(self, named: dict[str, Tensor], grads: dict[str, Tensor], m: Moments, v: Moments,
+             t: int) -> tuple[dict[str, Tensor], Moments, Moments]:
+        """Step ``t`` (0-based) from the moments of the steps before it, empty
+        before step 0: the new parameters and moments. Writes no argument."""
+        lr_t = cosine_lr(self.lr, t, self.total_steps)
+        correction1 = 1.0 - BETA1 ** (t + 1)
+        correction2 = 1.0 - BETA2 ** (t + 1)
+        out, m_out, v_out = {}, {}, {}
         for name, param in named.items():
-            g = grads[name].data
-            m = self._m.get(name)
-            v = self._v.get(name)
-            m = (1.0 - BETA1) * g if m is None else BETA1 * m + (1.0 - BETA1) * g
-            v = (1.0 - BETA2) * g * g if v is None else BETA2 * v + (1.0 - BETA2) * g * g
-            self._m[name] = m
-            self._v[name] = v
-            update = (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+            g, m_prev, v_prev = grads[name].data, m.get(name), v.get(name)
+            m_t = (1.0 - BETA1) * g if m_prev is None else BETA1 * m_prev + (1.0 - BETA1) * g
+            v_t = (1.0 - BETA2) * g * g if v_prev is None else BETA2 * v_prev + (1.0 - BETA2) * g * g
+            m_out[name], v_out[name] = m_t, v_t
+            update = (m_t / correction1) / (np.sqrt(v_t / correction2) + ADAM_EPS)
             theta = param.data
             try:
                 out[name] = Tensor(theta - lr_t * self.weight_decay * theta - lr_t * update)
             except ValueError as err:  # Tensor rejects non-finite data
                 raise DivergenceDetected(
-                    f"parameter {name!r} became non-finite at step {self.t - 1}") from err
-        return out
+                    f"parameter {name!r} became non-finite at step {t}") from err
+        return out, m_out, v_out
 
 
 def stack_episodes(episodes: list[Episode]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -138,47 +139,71 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
-def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
-    """Train on the fold's training classes: ``steps`` steps on ``batch``
-    stacked episodes, then ``tube_steps`` steps on the stacked frames of a
-    mask tube, under one optimizer schedule and one step routine."""
-    encoder = cfg.encoder(cfg.seed)
-    params = init_params(cfg, cfg.seed)
+@dataclass(frozen=True)
+class TrainState:
+    """What a run carries from step to step. ``step`` is AdamW's index, the
+    schedule's position and the next step's kind; ``sampler`` is the class
+    sampler's ``bit_generator.state``; ``drawn`` counts the episodes drawn."""
+
+    params: ModelParams
+    m: Moments
+    v: Moments
+    step: int
+    sampler: dict
+    drawn: int
+
+
+def initial_state(cfg: TrainConfig) -> TrainState:
+    """The state before step 0: no moments, the sampler at its stream's start."""
+    return TrainState(params=init_params(cfg, cfg.seed), m={}, v={}, step=0,
+                      sampler=rng_for(cfg.seed, tag("sampler")).bit_generator.state, drawn=0)
+
+
+def train_step(state: TrainState, cfg: TrainConfig, fold: FoldSplit,
+               encoder: StubEncoder) -> tuple[TrainState, float]:
+    """The state after one step from ``state``, which is not written to, and
+    the step's loss: ``batch`` episodes of the fold's training classes while
+    ``state.step < cfg.steps``, the frames of one mask tube after that."""
+    sampler = np.random.Generator(np.random.Philox(0))  # the kept state replaces this seed
+    sampler.bit_generator.state = state.sampler
+    on_tube = state.step >= cfg.steps
+    drawn = state.drawn + (1 if on_tube else cfg.batch)
+    tape = GradTape()
+    tracked, name_map = watch_params(tape, state.params)
+    try:
+        episodes = []
+        for index in range(state.drawn, drawn):
+            cls = int(fold.train_classes[int(sampler.integers(0, len(fold.train_classes)))])
+            episodes.append(gen_episode(cls, episode_seed(cfg.seed, cls, index),
+                                        (cfg.canvas, cfg.canvas)))
+        if on_tube:
+            ep = episodes[0]
+            tube = make_tube(ep, cfg.tube_frames, derive_seed(cfg.seed, tag("tube"), drawn))
+            loss = tube_loss(ep.support_img, ep.support_mask, tube, tracked, cfg, encoder)
+        else:
+            loss = batch_forward(*encode_episodes(episodes, encoder), tracked, cfg)[3]
+    except FloatingPointError as err:
+        raise DivergenceDetected(str(err)) from err
+    del episodes  # the backward runs without the inputs: holding them moved the heap state
+    if on_tube:
+        del ep, tube
+    grads = grad(tape, loss)
+    named_grads = {name: grads[t] for name, t in name_map.items()}
     opt = AdamW(cfg.lr, cfg.steps + cfg.tube_steps, cfg.weight_decay)
-    sampler = rng_for(cfg.seed, tag("sampler"))
-    canvas = (cfg.canvas, cfg.canvas)
+    named, m, v = opt.step(state.params.named(), named_grads, state.m, state.v, state.step)
+    return TrainState(params=ModelParams.from_named(named), m=m, v=v, step=state.step + 1,
+                      sampler=sampler.bit_generator.state, drawn=drawn), loss.item()
+
+
+def train(cfg: TrainConfig, fold: FoldSplit) -> TrainResult:
+    """``train_step`` from ``initial_state`` for ``steps + tube_steps`` steps."""
+    encoder = cfg.encoder(cfg.seed)
+    state = initial_state(cfg)
     losses: list[float] = []
-    counter = 0
-
-    def draw_episode() -> Episode:
-        nonlocal counter
-        cls = int(fold.train_classes[int(sampler.integers(0, len(fold.train_classes)))])
-        ep = gen_episode(cls, episode_seed(cfg.seed, cls, counter), canvas)
-        counter += 1
-        return ep
-
-    def image_step(tracked: ModelParams) -> Tensor:
-        episodes = [draw_episode() for _ in range(cfg.batch)]
-        return batch_forward(*encode_episodes(episodes, encoder), tracked, cfg)[3]
-
-    def tube_step(tracked: ModelParams) -> Tensor:
-        ep = draw_episode()
-        tube = make_tube(ep, cfg.tube_frames, derive_seed(cfg.seed, tag("tube"), counter))
-        return tube_loss(ep.support_img, ep.support_mask, tube, tracked, cfg, encoder)
-
-    for step_loss in [image_step] * cfg.steps + [tube_step] * cfg.tube_steps:
-        tape = GradTape()
-        tracked, name_map = watch_params(tape, params)
-        try:
-            loss = step_loss(tracked)
-        except FloatingPointError as err:
-            raise DivergenceDetected(str(err)) from err
-        losses.append(loss.item())
-        grads = grad(tape, loss)
-        named_grads = {name: grads[t] for name, t in name_map.items()}
-        params = ModelParams.from_named(opt.step(params.named(), named_grads))
-
-    return TrainResult(params=params, losses=tuple(losses))
+    while state.step < cfg.steps + cfg.tube_steps:
+        state, loss = train_step(state, cfg, fold, encoder)
+        losses.append(loss)
+    return TrainResult(params=state.params, losses=tuple(losses))
 
 
 def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
@@ -250,9 +275,7 @@ def grad_check(params: ModelParams, ep: Episode, cfg: TrainConfig, encoder: Stub
     rng = rng_for(seed, tag("gradcheck"))
     per_param: dict[str, float] = {}
     for name, tensor in base.items():
-        size = tensor.size
-        count = min(samples_per_param, size)
-        coords = rng.choice(size, size=count, replace=False)
+        coords = rng.choice(tensor.size, size=min(samples_per_param, tensor.size), replace=False)
         worst = 0.0
         for flat_idx in coords:
             def bumped_loss(delta: float) -> float:
@@ -291,9 +314,8 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelParams, TrainConfig, in
     except ConfigError as err:
         raise IoError(f"{cfg_path}: {err}") from err
     step = read_fields(opt_path, ("step",))["step"]
-    template = init_params(cfg, seed=0)
     named: dict[str, Tensor] = {}
-    for name, ref in template.named().items():
+    for name, ref in init_params(cfg, seed=0).named().items():
         path = directory / f"{name}.dcst"
         if not path.exists():
             raise CheckpointMissing(f"{path} is missing")

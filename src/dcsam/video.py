@@ -93,7 +93,7 @@ class MaskTube:
                 f"{len(self.frames)} frames, {len(self.masks)} masks, "
                 f"{len(self.transforms)} transforms")
         if len(self.frames) < 1:
-            raise FrameCountMismatch("a tube needs at least one frame")
+            raise FrameCountMismatch("a tube needs at least one frame, got 0")
         shape = self.frames[0].shape
         if any(t.shape != shape for t in self.frames + self.masks):
             raise ShapeMismatch("tube frames and masks must share one shape")

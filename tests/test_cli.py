@@ -69,6 +69,11 @@ def test_bad_usage_exits_one():
     assert main(["no-such-command"]) == 1
 
 
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: dcsam")
+
+
 def test_train_outputs(trained):
     ckpt = trained / "checkpoint"
     assert (ckpt / "optimizer.txt").read_text().strip() == "step = 3"

@@ -1,5 +1,6 @@
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ def test_refuses_values_beyond_float32_before_writing(tmp_path):
     write_tensor(path, t)
     write_tensor(tmp_path / "again.dcst", read_tensor(path))
     assert path.read_bytes() == (tmp_path / "again.dcst").read_bytes() == tensor_bytes(t)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((1,) * 256, "rank 256 exceeds the format limit of 255"),
+    ((2, 2 ** 32), "dimension too large for uint32"),
+])
+def test_header_limits_are_refused_before_the_data_is_read(shape, message):
+    # NumPy caps arrays at 64 dimensions and a 2**32 dimension cannot be
+    # allocated, so a stand-in with only a shape reaches the header checks
+    with pytest.raises(IoError, match=message):
+        tensor_bytes(SimpleNamespace(shape=shape))
 
 
 def test_missing_file(tmp_path):

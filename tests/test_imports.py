@@ -44,6 +44,17 @@ print(" ".join(sorted(k for k in sys.modules if k.startswith("dcsam."))))
 """
 
 
+def test_importing_the_package_loads_neither_the_oracles_nor_the_reference():
+    # the audit modules load only when asked for (the CLI's oracle command)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dcsam; "
+             "print(' '.join(sorted(k for k in sys.modules if k.startswith('dcsam'))))")
+    proc = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"dcsam", "dcsam.trainer"} <= loaded
+    assert not loaded & {"dcsam.oracles", "dcsam.reference"}
+
+
 def test_the_reference_forward_shares_no_code_with_the_layers_it_checks():
     proc = subprocess.run([sys.executable, "-c", REFERENCE_PROBE, str(PACKAGE)],
                           capture_output=True, text=True, timeout=120, check=True)

@@ -55,6 +55,15 @@ def test_tensor_is_float64_immutable():
         t.data[0, 0] = 9.0
 
 
+def test_repr_shows_the_shape_and_a_tracked_tensors_nid():
+    t = Tensor(np.zeros((2, 3)))
+    assert repr(t).startswith("Tensor(shape=(2, 3))\n")
+    tape = GradTape()
+    tape.watch(Tensor(1.0))
+    tracked = tape.watch(t)
+    assert repr(tracked).startswith("Tensor(shape=(2, 3) nid=1)\n")
+
+
 def test_tensor_rejects_nan_and_inf():
     with pytest.raises(ValueError):
         Tensor([1.0, float("nan")])

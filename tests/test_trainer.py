@@ -18,13 +18,16 @@ from dcsam import tensor as T
 from dcsam.tensor import GradTape, Tensor, grad
 from dcsam.trainer import (
     AdamW,
+    TrainState,
     cosine_lr,
     evaluate,
     grad_check,
     grad_check_episode,
+    initial_state,
     load_checkpoint,
     save_checkpoint,
     train,
+    train_step,
     tube_loss,
 )
 from dcsam.video import make_tube
@@ -50,21 +53,20 @@ def test_adamw_zero_grad_is_pure_decay():
     opt = AdamW(lr=0.1, total_steps=10, weight_decay=0.01)
     theta = Tensor(np.array([2.0, -4.0]))
     zero = Tensor(np.zeros(2))
-    out = opt.step({"p": theta}, {"p": zero})["p"]
+    out, m, v = opt.step({"p": theta}, {"p": zero}, {}, {}, 0)
     # first step runs at full base lr, so the contraction is 1 - lr*wd
-    assert np.allclose(out.data, theta.data * (1.0 - 0.1 * 0.01), atol=1e-15)
+    assert np.allclose(out["p"].data, theta.data * (1.0 - 0.1 * 0.01), atol=1e-15)
+    assert not m["p"].any() and not v["p"].any()
 
 
 def test_adamw_step_direction_and_magnitude():
     opt = AdamW(lr=0.1, total_steps=10, weight_decay=0.0)
     theta = Tensor(np.array([1.0]))
-    g = Tensor(np.array([0.5]))
-    out = opt.step({"p": theta}, {"p": g})["p"]
+    out = opt.step({"p": theta}, {"p": Tensor(np.array([0.5]))}, {}, {}, 0)[0]["p"]
     # bias-corrected first step moves by ~lr against the gradient sign
     assert out.data[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
 
-    opt2 = AdamW(lr=0.1, total_steps=10, weight_decay=0.0)
-    down = opt2.step({"p": theta}, {"p": Tensor(np.array([-0.5]))})["p"]
+    down = opt.step({"p": theta}, {"p": Tensor(np.array([-0.5]))}, {}, {}, 0)[0]["p"]
     assert down.data[0] == pytest.approx(1.0 + 0.1, abs=1e-6)
 
 
@@ -72,12 +74,85 @@ def test_adamw_lr_decays_with_schedule():
     opt = AdamW(lr=0.1, total_steps=2, weight_decay=0.0)
     theta = {"p": Tensor(np.array([0.0]))}
     g = {"p": Tensor(np.array([1.0]))}
-    theta = {"p": opt.step(theta, g)["p"]}
+    theta, m, v = opt.step(theta, g, {}, {}, 0)
     first_move = abs(theta["p"].data[0])
     before = theta["p"].data[0]
-    theta = {"p": opt.step(theta, g)["p"]}
+    theta, m, v = opt.step(theta, g, m, v, 1)
     second_move = abs(theta["p"].data[0] - before)
     assert second_move < first_move  # cosine halves the rate at mid-schedule
+
+
+def _arrays_bytes(named) -> dict[str, bytes]:
+    return {name: getattr(a, "data", a).tobytes() for name, a in named.items()}
+
+
+def test_adamw_step_writes_none_of_its_arguments():
+    opt = AdamW(lr=0.1, total_steps=4, weight_decay=0.01)
+    rng = np.random.default_rng(3)
+    named = {name: Tensor(rng.normal(size=(2, 3))) for name in ("a", "b")}
+    grads = {name: Tensor(rng.normal(size=(2, 3))) for name in ("a", "b")}
+    m = {name: rng.normal(size=(2, 3)) for name in ("a", "b")}
+    v = {name: rng.random(size=(2, 3)) for name in ("a", "b")}
+    before = [_arrays_bytes(d) for d in (named, grads, m, v)]
+    out, m_out, v_out = opt.step(named, grads, m, v, 2)
+    assert [_arrays_bytes(d) for d in (named, grads, m, v)] == before
+    assert all(m_out[k] is not m[k] and v_out[k] is not v[k] for k in m)
+    # the same arguments give the same bytes again: nothing was carried over
+    again = opt.step(named, grads, m, v, 2)
+    assert [_arrays_bytes(d) for d in again] == [_arrays_bytes(d) for d in (out, m_out, v_out)]
+
+
+def _state_bytes(state: TrainState) -> tuple:
+    return (_arrays_bytes(state.params.named()), _arrays_bytes(state.m), _arrays_bytes(state.v),
+            state.step, state.drawn, repr(state.sampler))
+
+
+def test_train_step_leaves_its_state_unchanged():
+    cfg = dataclasses.replace(TINY, steps=2, tube_steps=1, tube_frames=3)
+    encoder = cfg.encoder(cfg.seed)
+    state = initial_state(cfg)
+    for _ in range(cfg.steps + cfg.tube_steps):
+        before = _state_bytes(state)
+        following, _ = train_step(state, cfg, FOLD, encoder)
+        assert _state_bytes(state) == before
+        assert following.step == state.step + 1 and following.drawn > state.drawn
+        state = following
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_divergence_in_a_resumed_run_names_the_global_step():
+    # weight decay times the rate overflows the update, not the forward pass
+    cfg = dataclasses.replace(TINY, lr=1e300, weight_decay=1e300, steps=5)
+    resumed = dataclasses.replace(initial_state(cfg), step=3)
+    with pytest.raises(DivergenceDetected, match=r"became non-finite at step 3$"):
+        train_step(resumed, cfg, FOLD, cfg.encoder(cfg.seed))
+
+
+RESUME = dataclasses.replace(TINY, steps=3, tube_steps=2, batch=2, canvas=8, tube_frames=3)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    return train(RESUME, FOLD)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_a_run_continued_from_a_kept_state_has_the_uninterrupted_bytes(k, uninterrupted):
+    # k = steps - 1 ends on the last image step; k = steps continues on tube steps
+    encoder = RESUME.encoder(RESUME.seed)
+    state = initial_state(RESUME)
+    losses = []
+    for _ in range(k):
+        state, loss = train_step(state, RESUME, FOLD, encoder)
+        losses.append(loss)
+    kept, kept_bytes = state, _state_bytes(state)
+    encoder = RESUME.encoder(RESUME.seed)     # a fresh process would build its own
+    while state.step < RESUME.steps + RESUME.tube_steps:
+        state, loss = train_step(state, RESUME, FOLD, encoder)
+        losses.append(loss)
+    assert _state_bytes(kept) == kept_bytes
+    assert tuple(losses) == uninterrupted.losses
+    assert _arrays_bytes(state.params.named()) == _arrays_bytes(uninterrupted.params.named())
 
 
 def test_train_is_deterministic():
