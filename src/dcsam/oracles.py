@@ -1,13 +1,9 @@
-"""Self-contained reference implementations and randomized audit suites.
+"""Randomized audit suites: production held to ``dcsam.reference``.
 
-Everything here recomputes a result by the most literal method available
-(explicit loops, scalar math, finite differences, stacked windows,
-full-canvas rasters) and compares it against the vectorized production
-path. The model itself has one reference, ``dcsam.reference``, which shares
-no code with the layers it checks: the ``reference`` suite holds the
-batched forward to it, the ``batch`` suite the tape's batched gradients to
-its complex step, and the ``tube`` suite chunked propagation to its
-frame-by-frame decode. The suites are what `dcsam oracle` runs.
+Each suite runs production on random inputs and counts the trials that
+break a comparison with the reference layer (``grad``: with finite
+differences). The cases, tolerances and comparisons live here, and every
+reference in ``dcsam.reference``. The suites are what `dcsam oracle` runs.
 """
 from __future__ import annotations
 
@@ -21,12 +17,11 @@ import numpy as np
 from .attention import cycle_bias
 from . import encoder as encoder_module
 from .config import TrainConfig
-from .encoder import StubEncoder
-from .episodes import (CLASS_COUNT, MAX_AREA_FRAC, MAX_OVERLAP_FRAC, MIN_AREA_FRAC, Episode,
-                       gen_episode, grid)
+from .episodes import CLASS_COUNT, Episode, gen_episode
 from .metrics import boundary_f, iou, jf_score, mask_scores
 from .pipeline import init_params, watch_params
-from .reference import (complex_step, cycle_bias_reference, reference_decode, reference_forward,
+from .reference import (complex_step, cycle_bias_reference, descriptors_reference,
+                        episode_reference, project_reference, reference_decode, reference_forward,
                         softmax_rows_reference)
 from .seeding import derive_seed, rng_for, tag
 from .tensor import GradTape, Tensor, grad, masked_softmax_rows
@@ -66,11 +61,9 @@ def run_cyc_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
         n = int(rng.integers(1, 5))
         hw = int(rng.integers(1, 10))
         d = int(rng.integers(1, 5))
-        q = rng.normal(size=(n, d))
-        k = rng.normal(size=(hw, d))
+        q, k = rng.normal(size=(n, d)), rng.normal(size=(hw, d))
         if t % 2 == 0:
-            q = np.round(q)
-            k = np.round(k)
+            q, k = np.round(q), np.round(k)
         a = (q @ k.T) / math.sqrt(d)
         mask = rng.integers(0, 2, size=hw).astype(float)
         got = cycle_bias(Tensor(a), Tensor(mask))
@@ -88,8 +81,7 @@ def run_softmax_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
     rng = rng_for(seed, tag("oracle"), 2)
 
     def trial(t: int) -> str | None:
-        rows = int(rng.integers(1, 6))
-        cols = int(rng.integers(1, 8))
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         x = rng.normal(size=(rows, cols)) * 3.0
         bias = np.zeros(cols)
         if cols > 1:
@@ -115,11 +107,9 @@ def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4) -
     def trial(t: int) -> str | None:
         cfg = TrainConfig(lr=1e-2, steps=1, batch=1, seed=derive_seed(seed, tag("oracle"), 3, t),
                           canvas=8)
-        encoder = cfg.encoder(cfg.seed)
         ep = gen_episode(t % CLASS_COUNT, derive_seed(cfg.seed, tag("gradcheck"), t), (8, 8))
-        params = init_params(cfg, cfg.seed)
-        result = grad_check(params, ep, cfg, encoder, samples_per_param=samples_per_param,
-                            seed=cfg.seed)
+        result = grad_check(init_params(cfg, cfg.seed), ep, cfg, cfg.encoder(cfg.seed),
+                            samples_per_param=samples_per_param, seed=cfg.seed)
         if result.passed:
             return None
         worst_name = max(result.per_param, key=result.per_param.get)
@@ -194,12 +184,11 @@ def run_batch_suite(trials: int = 6, seed: int = 0, max_batch: int = 6) -> Suite
     def trial(t: int) -> str | None:
         variant = BATCH_VARIANTS[t % len(BATCH_VARIANTS)]
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 4, t), canvas=8, **variant)
-        encoder = cfg.encoder(cfg.seed)
-        params = init_params(cfg, cfg.seed)
         b = int(rng.integers(1, max_batch + 1))
         episodes = [gen_episode(int(rng.integers(0, CLASS_COUNT)),
                                 derive_seed(cfg.seed, tag("oracle"), i), (8, 8)) for i in range(b)]
-        devs = batch_gradient_deviations(episodes, params, cfg, encoder, rng)
+        devs = batch_gradient_deviations(episodes, init_params(cfg, cfg.seed), cfg,
+                                         cfg.encoder(cfg.seed), rng)
         worst = max(devs, key=devs.get)
         problems = [f"{worst} deviates by {devs[worst]:.3e}"] if devs[worst] > BATCH_TOL else []
 
@@ -240,14 +229,10 @@ def reference_deviations(inputs, params, cfg) -> dict[str, float]:
 
 
 def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> SuiteResult:
-    """Production's batched forward against ``reference_forward``.
-
-    Trial t runs case ``REFERENCE_CASES[t % len(REFERENCE_CASES)]`` (batch
-    size, config variant) at canvas 8 on random episodes and parameters.
-    The prompts, pseudo masks and probabilities of every episode, and the
-    batch-mean loss, must agree within ``REFERENCE_TOL`` relative to the
-    larger of 1 and the reference's largest magnitude.
-    """
+    """Production's batched forward against ``reference_forward``: trial t
+    runs case ``REFERENCE_CASES[t % len(REFERENCE_CASES)]`` (batch size,
+    config variant) at canvas 8 on random episodes and parameters, and
+    ``reference_deviations`` must stay within ``REFERENCE_TOL``."""
     rng = rng_for(seed, tag("oracle"), 8)
 
     def trial(t: int) -> str | None:
@@ -270,98 +255,66 @@ def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> Su
 TUBE_CASES = tuple(itertools.product((1, 3, 4, 5, 9, 32), (16, 32), (1, 2), (True, False)))
 
 
-def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
-    """Chunked propagation and stacked J&F against the reference, per frame.
-
-    Trial t runs case ``TUBE_CASES[t % len(TUBE_CASES)]`` (tube length,
-    canvas, encoder stride, negative branch) on a random episode and random
-    parameters. The reference encodes each image alone (``project_reference``
-    of ``descriptors_reference``), takes the prompts of ``reference_forward``
+def tube_mismatches(ep: Episode, tube, params, cfg, encoder) -> list[str]:
+    """What of ``propagate_first_frame`` of ``tube`` from ``ep``'s support
+    differs from the reference, per frame; empty when nothing does. The
+    reference encodes each image alone (``project_reference`` of
+    ``descriptors_reference``), takes the prompts of ``reference_forward``
     on the support image and frame 0, and thresholds each frame's
     ``reference_decode`` at 0.5, repeated by the stride. The predicted masks
     must have its bytes; the per-frame J and F of ``mask_scores`` must equal
-    ``iou`` and ``boundary_f`` of its masks, and ``jf_score`` their means.
-    """
+    ``iou`` and ``boundary_f`` of its masks, and ``jf_score`` their means."""
+    pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
+    s = encoder.stride
+
+    def maps(img: Tensor):
+        return project_reference(encoder, descriptors_reference(img.data), img.shape)
+
+    def pooled(mask: Tensor) -> np.ndarray:
+        return mask.data.reshape(mask.shape[0] // s, s, -1, s).max(axis=(1, 3))
+
+    frame_maps = [maps(frame) for frame in tube.frames]
+    prompts = reference_forward(maps(ep.support_img), frame_maps[0], pooled(ep.support_mask),
+                                pooled(tube.masks[0]),
+                                {name: p.data for name, p in params.named().items()}, cfg)
+    want = [(reference_decode(prompts["pos"], prompts.get("neg"), sam, cfg.tau) >= 0.5)
+            .astype(np.float64).repeat(s, axis=0).repeat(s, axis=1) for _, _, sam in frame_maps]
+    want_j = [iou(m, gt) for m, gt in zip(want, tube.masks)]
+    want_f = [boundary_f(m, gt) for m, gt in zip(want, tube.masks)]
+    js, fs = mask_scores(pred.masks, tube.masks)
+    report = jf_score(pred, tube)
+    problems = []
+    if np.stack([m.data for m in pred.masks]).tobytes() != np.stack(want).tobytes():
+        problems.append("predicted masks differ")
+    if js.tolist() != want_j or fs.tolist() != want_f:
+        problems.append("per-frame J or F differs")
+    if (report.j, report.f) != (float(np.mean(want_j)), float(np.mean(want_f))):
+        problems.append("tube J or F differs")
+    return problems
+
+
+def run_tube_suite(trials: int = len(TUBE_CASES), seed: int = 0) -> SuiteResult:
+    """Chunked propagation and stacked J&F against the reference, per frame:
+    trial t runs case ``TUBE_CASES[t % len(TUBE_CASES)]`` (tube length,
+    canvas, encoder stride, negative branch) on a random episode and random
+    parameters, and must show no ``tube_mismatches``."""
     rng = rng_for(seed, tag("oracle"), 5)
 
     def trial(t: int) -> str | None:
         frames, canvas, stride, neg = TUBE_CASES[t % len(TUBE_CASES)]
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 5, t), canvas=canvas,
                           stride=stride, use_neg_branch=neg)
-        encoder = cfg.encoder(cfg.seed)
-        params = init_params(cfg, cfg.seed)
         ep = gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
                          (canvas, canvas))
         tube = make_tube(ep, frames, int(rng.integers(0, 2**31)))
-        pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg, encoder)
-
-        def maps(img: Tensor):
-            return project_reference(encoder, descriptors_reference(img.data), img.shape)
-
-        def pooled(mask: Tensor) -> np.ndarray:
-            return mask.data.reshape(canvas // stride, stride, -1, stride).max(axis=(1, 3))
-
-        frame_maps = [maps(frame) for frame in tube.frames]
-        prompts = reference_forward(maps(ep.support_img), frame_maps[0], pooled(ep.support_mask),
-                                    pooled(tube.masks[0]),
-                                    {name: p.data for name, p in params.named().items()}, cfg)
-        want = [(reference_decode(prompts["pos"], prompts.get("neg"), sam, cfg.tau) >= 0.5)
-                .astype(np.float64).repeat(stride, axis=0).repeat(stride, axis=1)
-                for _, _, sam in frame_maps]
-        want_j = [iou(m, gt) for m, gt in zip(want, tube.masks)]
-        want_f = [boundary_f(m, gt) for m, gt in zip(want, tube.masks)]
-        js, fs = mask_scores(pred.masks, tube.masks)
-        report = jf_score(pred, tube)
-        problems = []
-        if np.stack([m.data for m in pred.masks]).tobytes() != np.stack(want).tobytes():
-            problems.append("predicted masks differ")
-        if js.tolist() != want_j or fs.tolist() != want_f:
-            problems.append("per-frame J or F differs")
-        if (report.j, report.f) != (float(np.mean(want_j)), float(np.mean(want_f))):
-            problems.append("tube J or F differs")
+        problems = tube_mismatches(ep, tube, init_params(cfg, cfg.seed), cfg,
+                                   cfg.encoder(cfg.seed))
         if problems:
             return (f"trial {t} ({frames} frames, canvas {canvas}, stride {stride}, "
                     f"negative branch {neg}): {'; '.join(problems)}")
         return None
 
     return _run_trials("tube", trials, trial)
-
-
-def _window_stack(img: np.ndarray, radius: int) -> np.ndarray:
-    """Every shifted copy of an edge-padded image under a square window,
-    stacked in (row, column) order: [(2r + 1)**2, ..., H, W]."""
-    h, w = img.shape[-2:]
-    size = 2 * radius + 1
-    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(radius, radius)] * 2, mode="edge")
-    return np.stack([padded[..., r:r + h, c:c + w] for r in range(size) for c in range(size)])
-
-
-def descriptors_reference(img: np.ndarray) -> np.ndarray:
-    """The stub encoder's 15 per-pixel statistics of an image [H, W] ->
-    [HW, 15], or of a stack [B, H, W] -> [B, HW, 15], from stacked windows
-    reduced by ``mean``, ``std``, ``max`` and ``min``, column by column as
-    ``DESCRIPTOR_COLUMNS`` names them.
-
-    The encoder computes its windows separably, so ``descriptor_mismatches``
-    holds it to this reference column by column: intensity, max, min,
-    gradients, coordinates and the constant as equal bytes; the means and
-    the residual as equal bytes on grid images (exact window sums) and
-    within ``DESCRIPTOR_ULPS`` otherwise; the deviations within
-    ``DESCRIPTOR_ULPS`` on every image."""
-    h, w = img.shape[-2:]
-    near = _window_stack(img, 1)
-    wide = _window_stack(img, 2)
-    wider = _window_stack(img, 3)
-    mean3 = near.mean(axis=0)
-    padded = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(1, 1)] * 2, mode="edge")
-    gx = padded[..., 1:-1, 2:] - padded[..., 1:-1, :-2]
-    gy = padded[..., 2:, 1:-1] - padded[..., :-2, 1:-1]
-    yy, xx = np.meshgrid(np.linspace(0.0, 1.0, h), np.linspace(0.0, 1.0, w), indexing="ij")
-    desc = np.stack([img, mean3, near.max(axis=0), near.min(axis=0), near.std(axis=0),
-                     wide.mean(axis=0), wide.std(axis=0), wider.mean(axis=0), wider.std(axis=0),
-                     np.abs(img - mean3), gx, gy, np.broadcast_to(yy, img.shape),
-                     np.broadcast_to(xx, img.shape), np.ones_like(img)], axis=-3)
-    return np.swapaxes(desc.reshape(img.shape[:-2] + (desc.shape[-3], h * w)), -1, -2)
 
 
 DESCRIPTOR_COLUMNS = ("value", "mean3", "max3", "min3", "std3", "mean5", "std5", "mean7", "std7",
@@ -399,27 +352,6 @@ def descriptor_mismatches(desc: np.ndarray, img: np.ndarray, grid: bool) -> list
         elif got.tobytes() != ref.tobytes():
             lines.append(f"{name} bytes differ")
     return lines
-
-
-def project_reference(encoder: StubEncoder, desc: np.ndarray, shape: tuple[int, ...]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The encoder's mid, high and sam maps of images of ``shape`` ([H, W]
-    or [B, H, W]) from their descriptors [..., HW, 15], in plain NumPy: each
-    projection, drawn again from the encoder's seed, is applied as
-    ``tanh(desc @ proj)`` and swapped channel-major; with a stride s, each
-    map is then averaged over the s x s cells of its strided view."""
-    lead = shape[:-2]
-    h, w = shape[-2:]
-    dim = desc.shape[-1]
-    s = encoder.stride
-    maps = []
-    for role, width in enumerate((encoder.d_mid, encoder.d_high, encoder.d_sam)):
-        proj = rng_for(encoder.seed, tag("encoder"), role).normal(size=(dim, width)) / np.sqrt(dim)
-        feat = np.swapaxes(np.tanh(desc @ proj), -1, -2).reshape(lead + (width, h, w))
-        if s > 1:
-            feat = feat.reshape(lead + (width, h // s, s, w // s, s)).mean(axis=(-3, -1))
-        maps.append(feat)
-    return maps[0], maps[1], maps[2]
 
 
 # (height, width), stack size (None: one image [H, W]), stride, image source.
@@ -501,175 +433,6 @@ def run_encoder_suite(trials: int = len(ENCODER_CASES) + len(FRAME_CASES), seed:
     return _run_trials("encoder", trials, trial)
 
 
-# Reference scenes: every footprint attempt rasterized over the whole canvas,
-# the literal form of what ``episodes`` draws from cached stamps.
-
-def _centered_reference(rng, h, w, ry, rx):
-    cy = int(rng.integers(ry, h - ry)) if h - ry > ry else ry
-    cx = int(rng.integers(rx, w - rx)) if w - rx > rx else rx
-    return cy, cx
-
-
-def _disk_reference(rng, h, w):
-    m = min(h, w)
-    r = int(rng.integers(max(1, m // 8), max(2, int(m / 3.2)) + 1))
-    cy, cx = _centered_reference(rng, h, w, r, r)
-    rr, cc = grid(h, w)
-    return (rr - cy) ** 2 + (cc - cx) ** 2 <= r * r
-
-
-def _rectangle_reference(rng, h, w):
-    hy = int(rng.integers(1, max(2, h // 4) + 1))
-    hx = int(rng.integers(1, max(2, w // 4) + 1))
-    cy, cx = _centered_reference(rng, h, w, hy, hx)
-    rr, cc = grid(h, w)
-    return (np.abs(rr - cy) <= hy) & (np.abs(cc - cx) <= hx)
-
-
-def _triangle_reference(rng, h, w):
-    m = min(h, w)
-    s = int(rng.integers(3, max(4, int(m * 0.66)) + 1))
-    r0 = int(rng.integers(0, h - s + 1))
-    c0 = int(rng.integers(0, w - s + 1))
-    k = int(rng.integers(0, 4))
-    rr, cc = grid(h, w)
-    a, b = rr - r0, cc - c0
-    box = (a >= 0) & (b >= 0) & (a < s) & (b < s)
-    aa = np.where(k < 2, a, s - 1 - a)
-    bb = np.where(k % 2 == 0, b, s - 1 - b)
-    return box & (aa + bb < s)
-
-
-def _ring_reference(rng, h, w):
-    m = min(h, w)
-    r_out = int(rng.integers(max(2, m // 5), max(3, int(m / 2.6)) + 1))
-    r_in = max(1, int(r_out * 0.5))
-    cy, cx = _centered_reference(rng, h, w, r_out, r_out)
-    rr, cc = grid(h, w)
-    d2 = (rr - cy) ** 2 + (cc - cx) ** 2
-    return (d2 <= r_out * r_out) & (d2 > r_in * r_in)
-
-
-def _cross_reference(rng, h, w):
-    m = min(h, w)
-    a = int(rng.integers(max(2, m // 5), max(3, m // 2 - 1) + 1))
-    t = int(rng.integers(0, max(1, m // 10) + 1))
-    cy, cx = _centered_reference(rng, h, w, a, a)
-    rr, cc = grid(h, w)
-    dy, dx = np.abs(rr - cy), np.abs(cc - cx)
-    return ((dy <= t) & (dx <= a)) | ((dx <= t) & (dy <= a))
-
-
-def _bar_reference(rng, h, w):
-    m = min(h, w)
-    t = int(rng.integers(0, max(1, m // 10) + 1))
-    if int(rng.integers(0, 2)) == 0:
-        length = int(rng.integers(w // 2, w - 1))
-        half = length // 2
-        cy, cx = _centered_reference(rng, h, w, t, half)
-        rr, cc = grid(h, w)
-        return (np.abs(rr - cy) <= t) & (np.abs(cc - cx) <= half)
-    length = int(rng.integers(h // 2, h - 1))
-    half = length // 2
-    cy, cx = _centered_reference(rng, h, w, half, t)
-    rr, cc = grid(h, w)
-    return (np.abs(rr - cy) <= half) & (np.abs(cc - cx) <= t)
-
-
-def _lshape_reference(rng, h, w):
-    m = min(h, w)
-    s1 = int(rng.integers(max(2, m // 3), max(3, int(m * 0.6)) + 1))
-    s2 = int(rng.integers(max(2, m // 3), max(3, int(m * 0.6)) + 1))
-    t = int(rng.integers(1, max(2, m // 6) + 1))
-    r0 = int(rng.integers(0, h - s1))
-    c0 = int(rng.integers(0, w - s2))
-    k = int(rng.integers(0, 4))
-    rr, cc = grid(h, w)
-    a, b = rr - r0, cc - c0
-    if k >= 2:
-        a = (s1 - 1) - a
-    if k % 2 == 1:
-        b = (s2 - 1) - b
-    vertical = (a >= 0) & (a < s1) & (b >= 0) & (b < t)
-    horizontal = (a >= 0) & (a < t) & (b >= 0) & (b < s2)
-    return vertical | horizontal
-
-
-def _checkerblob_reference(rng, h, w):
-    m = min(h, w)
-    r = int(rng.integers(max(1, m // 5), max(2, int(m / 2.4)) + 1))
-    cy, cx = _centered_reference(rng, h, w, r, r)
-    rr, cc = grid(h, w)
-    return np.abs(rr - cy) + np.abs(cc - cx) <= r
-
-
-_FAMILY_REFERENCES = (_disk_reference, _rectangle_reference, _triangle_reference,
-                      _ring_reference, _cross_reference, _bar_reference, _lshape_reference,
-                      _checkerblob_reference)
-
-
-def _footprint_reference(class_id, rng, h, w):
-    lo = max(2, int(math.ceil(MIN_AREA_FRAC * h * w)))
-    hi = int(math.floor(MAX_AREA_FRAC * h * w))
-    draw = _FAMILY_REFERENCES[class_id // 2]
-    for _ in range(200):
-        fp = draw(rng, h, w)
-        if lo <= fp.sum() <= hi:
-            return fp
-    side = math.isqrt(lo - 1) + 1
-    rows = h if h < side else side if w >= side else -(-lo // w)
-    cols = w if w < side else side if h >= side else -(-lo // h)
-    fp = np.zeros((h, w), dtype=bool)
-    fp[(h - rows) // 2:(h - rows) // 2 + rows, (w - cols) // 2:(w - cols) // 2 + cols] = True
-    return fp
-
-
-def _paint_reference(img, footprint, class_id, rng):
-    h, w = img.shape
-    base = float(rng.uniform(0.72, 0.95))
-    fill = np.full((h, w), base)
-    if class_id % 2 == 1:
-        fill[1::2, :] *= 0.62
-    if class_id // 2 == 7:
-        rr, cc = grid(h, w)
-        fill = np.where((rr + cc) % 2 == 0, fill, fill * 0.8)
-    img[footprint] = fill[footprint]
-
-
-def scene_reference(class_id: int, rng: np.random.Generator, h: int, w: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Image and target mask of one scene, every footprint a full-canvas
-    raster: the draws, their order and the arithmetic of ``episodes``."""
-    img = rng.uniform(0.0, 0.25, (h, w))
-    target = _footprint_reference(class_id, rng, h, w)
-    overlap_limit = MAX_OVERLAP_FRAC * target.sum()
-    placed = []
-    for _ in range(int(rng.integers(1, 3))):
-        other = int(rng.integers(0, CLASS_COUNT - 1))
-        if other >= class_id:
-            other += 1
-        for _attempt in range(50):
-            fp = _footprint_reference(other, rng, h, w)
-            if np.logical_and(fp, target).sum() <= overlap_limit:
-                placed.append((other, fp))
-                break
-    for other, fp in placed:
-        _paint_reference(img, fp, other, rng)
-    _paint_reference(img, target, class_id, rng)
-    img = np.round(img * 1024.0) / 1024.0  # the episodes' 1/1024 grid
-    return img, target.astype(np.float64)
-
-
-def episode_reference(class_id: int, seed: int, canvas: tuple[int, int]) -> Episode:
-    """``gen_episode``'s episode, from ``scene_reference``."""
-    h, w = canvas
-    s_img, s_mask = scene_reference(class_id, rng_for(seed, tag("support"), class_id), h, w)
-    q_img, q_mask = scene_reference(class_id, rng_for(seed, tag("query"), class_id), h, w)
-    return Episode(support_img=Tensor(s_img), support_mask=Tensor(s_mask),
-                   query_img=Tensor(q_img), query_mask=Tensor(q_mask),
-                   class_id=class_id, seed=seed)
-
-
 # Canvases of the pinned input digest, odd, non-square and elongated ones.
 EPISODE_CANVASES = ((8, 8), (9, 9), (12, 12), (16, 16), (16, 24), (24, 16), (8, 40), (13, 21),
                     (32, 32))
@@ -696,7 +459,8 @@ def run_episodes_suite(trials: int = CLASS_COUNT * len(EPISODE_CANVASES), seed: 
         canvas = EPISODE_CANVASES[(t // CLASS_COUNT) % len(EPISODE_CANVASES)]
         ep_seed, tube_seed = (int(v) for v in rng.integers(0, 2**31, size=2))
         got = gen_episode(class_id, ep_seed, canvas)
-        want = episode_reference(class_id, ep_seed, canvas)
+        want = Episode(*map(Tensor, episode_reference(class_id, ep_seed, canvas)),
+                       class_id, ep_seed)
         problems = [name for name in EPISODE_FIELDS
                     if not _same_bytes(getattr(got, name), getattr(want, name))]
         got_tube, want_tube = make_tube(got, 8, tube_seed), make_tube(want, 8, tube_seed)

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -56,9 +57,16 @@ def test_importing_the_package_loads_neither_the_oracles_nor_the_reference():
 
 
 def test_the_reference_forward_shares_no_code_with_the_layers_it_checks():
+    # the whole reference layer: it loads no dcsam module but the seed streams
     proc = subprocess.run([sys.executable, "-c", REFERENCE_PROBE, str(PACKAGE)],
                           capture_output=True, text=True, timeout=120, check=True)
-    loaded = set(proc.stdout.split())
-    assert "dcsam.reference" in loaded
-    assert not loaded & {"dcsam.tensor", "dcsam.pipeline", "dcsam.attention", "dcsam.decoder",
-                         "dcsam.losses"}
+    assert set(proc.stdout.split()) == {"dcsam.reference", "dcsam.seeding"}
+
+
+def test_the_reference_layer_imports_only_numpy_math_cmath_and_the_seed_streams():
+    tree = ast.parse((PACKAGE / "reference.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "cmath", "math", "numpy", ".seeding"}

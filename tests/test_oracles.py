@@ -18,8 +18,6 @@ from dcsam.oracles import (
     REFERENCE_TOL,
     SUITES,
     SuiteResult,
-    descriptors_reference,
-    episode_reference,
     reference_deviations,
     run_cyc_suite,
     run_encoder_suite,
@@ -29,7 +27,8 @@ from dcsam.oracles import (
     run_softmax_suite,
     run_tube_suite,
 )
-from dcsam.reference import cycle_bias_reference, softmax_rows_reference
+from dcsam.reference import (cycle_bias_reference, descriptors_reference, episode_reference,
+                             softmax_rows_reference)
 
 
 def test_suite_result_summary():
@@ -210,9 +209,8 @@ def test_fallback_footprints_match_the_reference(canvas):
     for class_id in range(episodes_module.CLASS_COUNT):
         got = episodes_module.gen_episode(class_id, 3, canvas)
         want = episode_reference(class_id, 3, canvas)
-        for name in EPISODE_FIELDS:
-            assert getattr(got, name).data.tobytes() == getattr(want, name).data.tobytes(), (
-                class_id, name)
+        for name, array in zip(EPISODE_FIELDS, want):
+            assert getattr(got, name).data.tobytes() == array.tobytes(), (class_id, name)
 
 
 def test_episodes_suite_passes_and_catches_a_short_stamp(monkeypatch):

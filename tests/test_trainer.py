@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcsam
 from dcsam import encoder as encoder_module
-from dcsam.config import TrainConfig
+from dcsam.config import TrainConfig, config_text, load_config
 from dcsam.decoder import decode
 from dcsam.encoder import EncoderMaps
 from dcsam.episodes import class_registry, gen_episode, split_folds
@@ -161,6 +165,27 @@ def test_train_is_deterministic():
     assert a.losses == b.losses
     for name, t in a.params.named().items():
         assert np.array_equal(t.data, b.params.named()[name].data), name
+
+
+def test_train_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # the gate's config, cut to 3 image steps and 2 tube steps of 8 frames;
+    # OpenBLAS reads its thread count when it loads, so each run is a process
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = dataclasses.replace(load_config(config), steps=3, tube_steps=2, tube_frames=8)
+    (tmp_path / "run.cfg").write_text(config_text(cfg))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dcsam.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "dcsam", "train", "--config", str(tmp_path / "run.cfg"),
+                        "--fold", "0", "--out", str(tmp_path / threads)],
+                       env=env, capture_output=True, timeout=600, check=True)
+    one, two = tmp_path / "1", tmp_path / "2"
+    names = sorted(p.name for p in (one / "checkpoint").iterdir())
+    assert names == sorted(p.name for p in (two / "checkpoint").iterdir()) and len(names) == 17
+    for name in names:
+        assert (one / "checkpoint" / name).read_bytes() == (two / "checkpoint" / name).read_bytes()
+    assert (one / "losses.csv").read_bytes() == (two / "losses.csv").read_bytes()
+    assert len((one / "losses.csv").read_text().splitlines()) == 1 + 3 + 2
 
 
 def test_train_losses_are_finite_and_recorded():
