@@ -146,7 +146,7 @@ def boundary_f(pred, gt) -> float:
 
 def mask_scores(preds: Sequence, gts: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """IoU and boundary F of each pair of two equally long sequences of masks
-    [H, W] (tube frames, or the episodes of an evaluation chunk), as two
+    [H, W] (tube frames, or the episodes of an evaluation), as two
     float arrays [T]. The masks are validated and stacked once and every
     pair is scored in one pass; each value equals ``iou`` / ``boundary_f``
     of its pair."""

@@ -19,13 +19,13 @@ from . import encoder as encoder_module
 from .config import TrainConfig
 from .episodes import CLASS_COUNT, Episode, gen_episode
 from .metrics import boundary_f, iou, jf_score, mask_scores
-from .pipeline import init_params, watch_params
+from .pipeline import bulk_forward, init_params, watch_params
 from .reference import (complex_step, cycle_bias_reference, descriptors_reference,
                         episode_reference, project_reference, reference_decode, reference_forward,
                         softmax_rows_reference)
 from .seeding import derive_seed, rng_for, tag
 from .tensor import GradTape, Tensor, grad, masked_softmax_rows
-from .trainer import batch_forward, encode_episodes, grad_check
+from .trainer import _episode_fields, grad_check
 from .video import make_tube, propagate_first_frame
 
 
@@ -118,33 +118,38 @@ def run_grad_suite(trials: int = 2, seed: int = 0, samples_per_param: int = 4) -
     return _run_trials("grad", trials, trial)
 
 
-def _reference_rows(inputs, arrays: dict[str, np.ndarray], cfg) -> list[dict[str, np.ndarray]]:
-    """``reference_forward`` of each episode of ``encode_episodes``' output."""
-    enc_s, enc_q, mask_f, gt_f = inputs
+def _pooled(mask: Tensor, s: int) -> np.ndarray:
+    """A mask [H, W] block-max pooled by the stride ``s``."""
+    return mask.data.reshape(mask.shape[0] // s, s, -1, s).max(axis=(1, 3))
 
-    def maps(enc, i):
-        return enc.mid.data[i], enc.high.data[i], enc.sam.data[i]
 
-    return [reference_forward(maps(enc_s, i), maps(enc_q, i), mask_f.data[i], gt_f.data[i],
-                              arrays, cfg) for i in range(mask_f.shape[0])]
+def _reference_inputs(episodes, encoder) -> list[tuple]:
+    """What ``reference_forward`` takes of each episode: its images' maps
+    from ``encoder.encode`` and its masks pooled by the stride."""
+    def maps(img):
+        enc = encoder.encode(img)
+        return enc.mid.data, enc.high.data, enc.sam.data
+
+    return [(maps(ep.support_img), maps(ep.query_img), _pooled(ep.support_mask, encoder.stride),
+             _pooled(ep.query_mask, encoder.stride)) for ep in episodes]
 
 
 def batch_gradient_deviations(episodes, params, cfg, encoder, rng: np.random.Generator,
                               per_tensor: bool = True) -> dict[str, float]:
     """Along a random direction v per parameter tensor (``grad <name>``), or
     one over all of them (``grad all``): the tape's sum(grad . v) of the
-    stacked training forward's batch-mean loss against the complex step of
-    the reference's, measured by ``batch_deviations``."""
-    inputs = encode_episodes(episodes, encoder)
+    training forward's batch-mean loss against the complex step of the
+    reference's, measured by ``batch_deviations``."""
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)
-    grads = grad(tape, batch_forward(*inputs, tracked, cfg)[3])
+    grads = grad(tape, bulk_forward(*_episode_fields(episodes), tracked, cfg, encoder).loss)
     arrays = {name: t.data for name, t in params.named().items()}
     v = {name: rng.normal(size=a.shape) for name, a in arrays.items()}
     directions = {f"grad {n}": {n: v[n]} for n in v} if per_tensor else {"grad all": v}
+    inputs = _reference_inputs(episodes, encoder)
 
     def mean_loss(p):
-        return np.mean([row["loss"] for row in _reference_rows(inputs, p, cfg)])
+        return np.mean([reference_forward(*row, p, cfg)["loss"] for row in inputs])
 
     got = {label: sum(float(np.vdot(grads[name_map[n]].data, vn)) for n, vn in d.items())
            for label, d in directions.items()}
@@ -213,16 +218,17 @@ REFERENCE_CASES = tuple(itertools.product((1, 3, 32), BATCH_VARIANTS))
 REFERENCE_TOL = 1e-12
 
 
-def reference_deviations(inputs, params, cfg) -> dict[str, float]:
-    """``batch_deviations`` of production's batched forward on
-    ``encode_episodes``' output against ``reference_forward`` of each
-    episode: prompts, pseudo masks, probabilities and the batch-mean loss."""
-    prompts, pseudo, probs, loss = batch_forward(*inputs, params, cfg)
-    got = {"pos": prompts.pos.data, "pseudo": pseudo.data, "probs": probs.data,
-           "loss": loss.data}
-    if prompts.neg is not None:
-        got["neg"] = prompts.neg.data
-    rows = _reference_rows(inputs, {name: t.data for name, t in params.named().items()}, cfg)
+def reference_deviations(episodes, params, cfg, encoder) -> dict[str, float]:
+    """``batch_deviations`` of production's training forward of the episodes
+    against ``reference_forward`` of each: prompts, pseudo masks,
+    probabilities and the batch-mean loss."""
+    out = bulk_forward(*_episode_fields(episodes), params, cfg, encoder)
+    got = {"pos": out.prompts.pos.data, "pseudo": out.pseudo.data, "probs": out.probs.data,
+           "loss": out.loss.data}
+    if out.prompts.neg is not None:
+        got["neg"] = out.prompts.neg.data
+    arrays = {name: t.data for name, t in params.named().items()}
+    rows = [reference_forward(*row, arrays, cfg) for row in _reference_inputs(episodes, encoder)]
     want = {key: np.stack([row[key] for row in rows]) for key in got}
     want["loss"] = want["loss"].mean()
     return batch_deviations(got, want)
@@ -240,8 +246,8 @@ def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> Su
         cfg = TrainConfig(seed=derive_seed(seed, tag("oracle"), 8, t), canvas=8, **variant)
         episodes = [gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
                                 (8, 8)) for _ in range(b)]
-        devs = reference_deviations(encode_episodes(episodes, cfg.encoder(cfg.seed)),
-                                    init_params(cfg, cfg.seed), cfg)
+        devs = reference_deviations(episodes, init_params(cfg, cfg.seed), cfg,
+                                    cfg.encoder(cfg.seed))
         worst = max(devs, key=devs.get)
         if devs[worst] > REFERENCE_TOL:
             return (f"trial {t} (B={b}, {variant or 'full model'}): "
@@ -251,8 +257,8 @@ def run_reference_suite(trials: int = len(REFERENCE_CASES), seed: int = 0) -> Su
     return _run_trials("reference", trials, trial)
 
 
-# Tube lengths around the propagation chunk of 4 frames, up to the benchmark's 32.
-TUBE_CASES = tuple(itertools.product((1, 3, 4, 5, 9, 32), (16, 32), (1, 2), (True, False)))
+# Tube lengths around the stacks of ``CHUNK_PIXELS`` (16 frames at canvas 16, 4 at 32), up to 32.
+TUBE_CASES = tuple(itertools.product((1, 3, 4, 5, 9, 16, 17, 32), (16, 32), (1, 2), (True, False)))
 
 
 def tube_mismatches(ep: Episode, tube, params, cfg, encoder) -> list[str]:
@@ -270,12 +276,9 @@ def tube_mismatches(ep: Episode, tube, params, cfg, encoder) -> list[str]:
     def maps(img: Tensor):
         return project_reference(encoder, descriptors_reference(img.data), img.shape)
 
-    def pooled(mask: Tensor) -> np.ndarray:
-        return mask.data.reshape(mask.shape[0] // s, s, -1, s).max(axis=(1, 3))
-
     frame_maps = [maps(frame) for frame in tube.frames]
-    prompts = reference_forward(maps(ep.support_img), frame_maps[0], pooled(ep.support_mask),
-                                pooled(tube.masks[0]),
+    prompts = reference_forward(maps(ep.support_img), frame_maps[0], _pooled(ep.support_mask, s),
+                                _pooled(tube.masks[0], s),
                                 {name: p.data for name, p in params.named().items()}, cfg)
     want = [(reference_decode(prompts["pos"], prompts.get("neg"), sam, cfg.tau) >= 0.5)
             .astype(np.float64).repeat(s, axis=0).repeat(s, axis=1) for _, _, sam in frame_maps]

@@ -20,12 +20,14 @@ the parameters through fusion, the attention projections, the learned
 queries, and the label embeddings.
 
 A batch of episodes runs the same code on stacked inputs: every map, mask
-and result gains a leading batch axis, and the parameters are shared. The
-trainer's ``batch_forward`` adds the decode and the loss to this forward.
+and result gains a leading batch axis, and the parameters are shared.
+``bulk_forward`` encodes, prompts and decodes for every caller: training
+steps, evaluation, image inference and tube propagation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +37,9 @@ from .config import TrainConfig
 from .decoder import decode
 from .encoder import EncoderMaps, StubEncoder
 from .errors import EmptySupportMask, ShapeMismatch
+from .losses import total_loss
 from .seeding import rng_for, tag
-from .tensor import GradTape, Tensor, binarize, is_binary
+from .tensor import GradTape, Tensor, adopt, binarize, is_binary
 
 PSEUDO_THRESHOLD = 0.5
 
@@ -299,14 +302,85 @@ def upsample_map(t: Tensor, stride: int) -> Tensor:
     return Tensor(t.data.repeat(stride, axis=-2).repeat(stride, axis=-1))
 
 
+# Query pixels per stack outside training: 16 episodes at canvas 16, 4
+# frames at canvas 32. A whole 32-frame tube at canvas 32 in one stack ran
+# slower than stacks of 4 and raised peak RSS by about 16 MB.
+CHUNK_PIXELS = 4096
+
+
+@dataclass(frozen=True)
+class Forward:
+    """``bulk_forward``'s result: every query's probabilities [N, h, w] at
+    the feature resolution; the last stack's prompts and pseudo masks (a
+    shared support's one prompt set and query 0's pseudo mask); and, given
+    targets, the mean combined loss."""
+
+    prompts: PromptSet
+    pseudo: Tensor
+    probs: Tensor
+    loss: Tensor | None
+
+
+def _stack(images: Sequence[Tensor]) -> Tensor:
+    return Tensor(np.stack([t.data for t in images]))
+
+
+def _mean_loss(probs: Tensor, target: Tensor) -> Tensor:
+    # NumPy's pairwise sum over the batch axis: a fixed order for any batch
+    per_query = total_loss(probs, target, batched=True)
+    return T.scale(T.sum_all(per_query), 1.0 / target.shape[0])
+
+
+def bulk_forward(supports: Tensor | Sequence[Tensor], support_masks: Tensor | Sequence[Tensor],
+                 queries: Sequence[Tensor], targets: Sequence[Tensor] | None,
+                 params: ModelParams, cfg: TrainConfig, encoder: StubEncoder) -> Forward:
+    """Encode query images [H, W], make their prompts and decode them.
+
+    With a support image and mask per query, each query is an episode with
+    its own prompts. With one, shared by every query as by a tube's frames,
+    the prompts are made once from query 0's maps, and query 0 alone is
+    projected to ``mid`` and ``high``. Given ``targets`` (a binary mask per
+    query) this is a training forward, one stack, since a taped loss summed
+    by stack would reorder its gradient sums; else a stack holds at most
+    ``CHUNK_PIXELS`` query pixels, or one query, which changes no bit.
+    """
+    shared = isinstance(supports, Tensor)
+    per_stack = len(queries) if targets is not None else max(1, CHUNK_PIXELS // queries[0].size)
+    # the order in which each side makes, encodes and frees its arrays (a
+    # tube's support first; episode stacks as checked copies, freed after
+    # encoding) moves the benchmark's calibration kernel (ROADMAP item 8)
+    if shared:
+        enc_s, mask_s = encoder.encode(supports), downsample_mask(support_masks, encoder.stride)
+    prompts, parts = None, []
+    for start in range(0, len(queries), per_stack):
+        span = slice(start, start + per_stack)
+        if shared:
+            first, sam = encoder.encode_frames(np.stack([q.data for q in queries[span]]),
+                                               first=prompts is None)
+            if prompts is None:
+                prompts, pseudo = generate_prompts(enc_s, first, mask_s, params, cfg)
+            gt = None if targets is None else _stack(targets)
+        else:
+            s_img, s_mask, q_img = (_stack(seq[span]) for seq in (supports, support_masks, queries))
+            gt = None if targets is None else _stack(targets)
+            enc_s, enc_q = encoder.encode(s_img, batched=True), encoder.encode(q_img, batched=True)
+            mask_s, sam = downsample_mask(s_mask, encoder.stride), enc_q.sam
+            del s_img, s_mask, q_img
+            prompts, pseudo = generate_prompts(enc_s, enc_q, mask_s, params, cfg)
+        parts.append(decode(prompts.pos, prompts.neg, sam, cfg.tau))
+    probs = parts[0] if len(parts) == 1 else adopt(np.concatenate([p.data for p in parts]))
+    loss = None if gt is None else _mean_loss(probs, downsample_mask(gt, encoder.stride))
+    return Forward(prompts, pseudo, probs, loss)
+
+
 def infer_mask(support_img: Tensor, support_mask: Tensor, query_img: Tensor,
                params: ModelParams, cfg: TrainConfig, encoder: StubEncoder) -> Tensor:
     """Image-resolution probability map for one episode (inference path), or
     for each episode of stacked images and masks [B, H, W]."""
-    batched = support_img.ndim == 3
-    enc_s = encoder.encode(support_img, batched)
-    enc_q = encoder.encode(query_img, batched)
-    mask_feat = downsample_mask(support_mask, encoder.stride)
-    prompts, _ = generate_prompts(enc_s, enc_q, mask_feat, params, cfg)
-    probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.tau)
+    if support_img.ndim == 3:      # a support of its own per query
+        rows = ([adopt(x) for x in t.data] for t in (support_img, support_mask, query_img))
+        probs = bulk_forward(*rows, None, params, cfg, encoder).probs
+    else:
+        out = bulk_forward(support_img, support_mask, [query_img], None, params, cfg, encoder)
+        probs = adopt(out.probs.data[0])
     return upsample_map(probs, encoder.stride)

@@ -11,20 +11,16 @@ from pathlib import Path
 import numpy as np
 
 from . import dcst
-from . import tensor as T
 from .config import TrainConfig, config_text, load_config
-from .encoder import EncoderMaps, StubEncoder
+from .encoder import StubEncoder
 from .episodes import Episode, FoldSplit, gen_episode
 from .errors import CheckpointMissing, ConfigError, DivergenceDetected, EmptyReport, IoError
-from .losses import total_loss
 from .metrics import MetricReport, mask_scores
-from .pipeline import (ModelParams, PromptSet, downsample_mask, generate_prompts, infer_mask,
-                       init_params, watch_params)
-from .decoder import decode
+from .pipeline import ModelParams, bulk_forward, init_params, upsample_map, watch_params
 from .seeding import derive_seed, episode_seed, rng_for, tag
 from .tensor import GradTape, Tensor, binarize, grad
 from .util import read_fields
-from .video import MaskTube, make_tube
+from .video import make_tube
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -86,51 +82,11 @@ class AdamW:
         return out, m_out, v_out
 
 
-def stack_episodes(episodes: list[Episode]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Support images, support masks, query images and query masks of
-    same-sized episodes, each stacked along a leading batch axis."""
-    return tuple(Tensor(np.stack([getattr(ep, name).data for ep in episodes]))
+def _episode_fields(episodes: list[Episode]) -> tuple[list[Tensor], ...]:
+    """The episodes' supports, support masks, queries and targets, as
+    ``bulk_forward`` takes them."""
+    return tuple([getattr(ep, name) for ep in episodes]
                  for name in ("support_img", "support_mask", "query_img", "query_mask"))
-
-
-def encode_episodes(episodes: list[Episode], encoder: StubEncoder
-                    ) -> tuple[EncoderMaps, EncoderMaps, Tensor, Tensor]:
-    """Stacked support and query maps of the episodes, and their support and
-    query masks at the feature resolution."""
-    support_img, support_mask, query_img, query_mask = stack_episodes(episodes)
-    return (encoder.encode(support_img, batched=True), encoder.encode(query_img, batched=True),
-            downsample_mask(support_mask, encoder.stride),
-            downsample_mask(query_mask, encoder.stride))
-
-
-def _mean_loss(probs: Tensor, target: Tensor) -> Tensor:
-    # NumPy's pairwise sum over the batch axis: a fixed order for any batch
-    per_episode = total_loss(probs, target, batched=True)
-    return T.scale(T.sum_all(per_episode), 1.0 / target.shape[0])
-
-
-def batch_forward(enc_s: EncoderMaps, enc_q: EncoderMaps, mask_f: Tensor, gt_f: Tensor,
-                  params: ModelParams, cfg: TrainConfig
-                  ) -> tuple[PromptSet, Tensor, Tensor, Tensor]:
-    """The training forward of a stacked batch: prompts, pseudo masks,
-    probabilities [B, h, w] and the batch mean of the combined loss."""
-    prompts, pseudo = generate_prompts(enc_s, enc_q, mask_f, params, cfg)
-    probs = decode(prompts.pos, prompts.neg, enc_q.sam, cfg.tau)
-    return prompts, pseudo, probs, _mean_loss(probs, gt_f)
-
-
-def tube_loss(support_img: Tensor, support_mask: Tensor, tube: MaskTube,
-              params: ModelParams, cfg: TrainConfig, encoder: StubEncoder) -> Tensor:
-    """Mean over the tube's frames of the combined loss of decoding each
-    frame with the prompts generated on frame 0. The frames run as one
-    stack, frame 0's maps come from it, and the prompts are shared by all
-    of them."""
-    first, sam = encoder.encode_frames(np.stack([f.data for f in tube.frames]), first=True)
-    prompts, _ = generate_prompts(encoder.encode(support_img), first,
-                                  downsample_mask(support_mask, encoder.stride), params, cfg)
-    masks = downsample_mask(Tensor(np.stack([m.data for m in tube.masks])), encoder.stride)
-    probs = decode(prompts.pos, prompts.neg, sam, cfg.tau)
-    return _mean_loss(probs, masks)
 
 
 @dataclass(frozen=True)
@@ -176,17 +132,17 @@ def train_step(state: TrainState, cfg: TrainConfig, fold: FoldSplit,
             cls = int(fold.train_classes[int(sampler.integers(0, len(fold.train_classes)))])
             episodes.append(gen_episode(cls, episode_seed(cfg.seed, cls, index),
                                         (cfg.canvas, cfg.canvas)))
-        if on_tube:
+        if on_tube:     # frame 0's prompts decode every frame of one tube
             ep = episodes[0]
             tube = make_tube(ep, cfg.tube_frames, derive_seed(cfg.seed, tag("tube"), drawn))
-            loss = tube_loss(ep.support_img, ep.support_mask, tube, tracked, cfg, encoder)
+            inputs = (ep.support_img, ep.support_mask, tube.frames, tube.masks)
+            del ep, tube
         else:
-            loss = batch_forward(*encode_episodes(episodes, encoder), tracked, cfg)[3]
+            inputs = _episode_fields(episodes)
+        loss = bulk_forward(*inputs, tracked, cfg, encoder).loss
     except FloatingPointError as err:
         raise DivergenceDetected(str(err)) from err
-    del episodes  # the backward runs without the inputs: holding them moved the heap state
-    if on_tube:
-        del ep, tube
+    del episodes, inputs  # the backward runs without the inputs: holding them moved the heap state
     grads = grad(tape, loss)
     named_grads = {name: grads[t] for name, t in name_map.items()}
     opt = AdamW(cfg.lr, cfg.steps + cfg.tube_steps, cfg.weight_decay)
@@ -211,8 +167,7 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
     """Held-out evaluation over a fixed per-config seed set.
 
     Episode i of class c uses seed hash(cfg.seed, c, i), so two models
-    evaluated under the same config see identical episodes. Episodes run as
-    stacked batches of at most ``cfg.batch``.
+    evaluated under the same config see identical episodes.
     """
     n = cfg.eval_episodes_per_class if episodes_per_class is None else int(episodes_per_class)
     if not fold.test_classes:
@@ -221,23 +176,15 @@ def evaluate(params: ModelParams, cfg: TrainConfig, fold: FoldSplit,
         raise EmptyReport("evaluation needs at least one episode per class")
     encoder = cfg.encoder(cfg.seed)
     canvas = (cfg.canvas, cfg.canvas)
-
-    jobs = [(cls, i) for cls in fold.test_classes for i in range(n)]
-    per_class: dict[int, list[float]] = {cls: [] for cls in fold.test_classes}
-    f_values: list[float] = []
-    for start in range(0, len(jobs), cfg.batch):
-        chunk = jobs[start:start + cfg.batch]
-        episodes = [gen_episode(cls, derive_seed(cfg.seed, tag("eval"), cls, i), canvas)
-                    for cls, i in chunk]
-        support_img, support_mask, query_img, _ = stack_episodes(episodes)
-        preds = binarize(infer_mask(support_img, support_mask, query_img, params, cfg, encoder))
-        js, fs = mask_scores(preds.data, [ep.query_mask for ep in episodes])
-        for (cls, _i), j in zip(chunk, js.tolist()):
-            per_class[cls].append(j)
-        f_values.extend(fs.tolist())
-    class_iou = {cls: float(np.mean(vals)) for cls, vals in per_class.items()}
+    episodes = [gen_episode(cls, derive_seed(cfg.seed, tag("eval"), cls, i), canvas)
+                for cls in fold.test_classes for i in range(n)]
+    supports, support_masks, queries, query_masks = _episode_fields(episodes)
+    probs = bulk_forward(supports, support_masks, queries, None, params, cfg, encoder).probs
+    js, fs = mask_scores(binarize(upsample_map(probs, encoder.stride)).data, query_masks)
+    class_iou = {cls: float(np.mean(per_class))     # the class's n episodes, in order
+                 for cls, per_class in zip(fold.test_classes, js.reshape(-1, n))}
     j = float(np.mean(list(class_iou.values())))
-    return MetricReport.from_classes(class_iou, j=j, f=float(np.mean(f_values)))
+    return MetricReport.from_classes(class_iou, j=j, f=float(np.mean(fs)))
 
 
 @dataclass(frozen=True)
@@ -261,10 +208,8 @@ def grad_check(params: ModelParams, ep: Episode, cfg: TrainConfig, encoder: Stub
     +-FD_STEP; the reported number is the worst relative error
     |analytic - fd| / max(|analytic|, |fd|, FD_DENOM_FLOOR).
     """
-    inputs = encode_episodes([ep], encoder)     # a batch of one
-
     def loss_at(p: ModelParams) -> Tensor:
-        return batch_forward(*inputs, p, cfg)[3]
+        return bulk_forward(*_episode_fields([ep]), p, cfg, encoder).loss     # a batch of one
 
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)

@@ -13,14 +13,11 @@ then pulls the image and the mask of frames 1.. through one stacked source
 map; ``warp`` is the one-transform case of the same code.
 
 Propagation (the in-context video setting) generates the prompts once, on
-frame 0, and decodes every frame with them. Frames go through the encoder
-and decoder in stacks of ``FRAME_CHUNK``. Only frame 0's ``mid`` and
-``high`` maps are ever read (for the prompts and the prior), so every frame
-is projected to ``sam`` and frame 0 alone, from the first stack's single
-descriptor pass, to all three maps (``StubEncoder.encode_frames``). The
-encoder is exact per image and shared-prompt decoding is exact per map, so
-the predicted masks equal those of a frame-by-frame loop bit for bit, while
-the chunk bounds the memory a long tube holds at once.
+frame 0, and decodes every frame with them: the frames are the queries of
+one support in ``pipeline.bulk_forward``, which encodes and decodes them in
+stacks of at most ``pipeline.CHUNK_PIXELS`` pixels and projects frame 0
+alone to the ``mid`` and ``high`` maps the prompts read. The predicted masks
+equal those of a frame-by-frame loop bit for bit.
 """
 from __future__ import annotations
 
@@ -37,8 +34,7 @@ from .episodes import Episode
 from . import dcst
 from .errors import FrameCountMismatch, IoError, ShapeMismatch
 from .config import TrainConfig
-from .pipeline import ModelParams, downsample_mask, generate_prompts, upsample_map
-from .decoder import decode
+from .pipeline import ModelParams, bulk_forward, upsample_map
 from .seeding import rng_for, tag
 from .tensor import Tensor, adopt, binarize, is_binary
 from .util import read_fields
@@ -46,13 +42,6 @@ from .util import read_fields
 IDENTITY_SCALE = 1.0
 MAX_TRANSLATION_STEP = 2
 DEFAULT_SCALE_GRID = (0.9, 1.0, 1.1)
-# Frames encoded and decoded as one stack during propagation. With 32-frame
-# tubes at canvas 32 (one thread, 15 s benchmark runs), stacks of 4, 8 and 16
-# ran within noise of each other (raw p50 1.32-1.43, 1.29-1.42 and
-# 1.28-1.34 ms per frame), while peak RSS grew by 1.0 and 2.4 MB at 8 and 16.
-# A whole tube at once ran 1.64 ms per frame, faulted in about 3,400 fresh
-# pages per tube and raised peak RSS by about 16 MB.
-FRAME_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -183,29 +172,16 @@ def make_tube(ep: Episode, t_frames: int, seed: int, *,
 def propagate_first_frame(tube: MaskTube, support_img: Tensor, support_mask: Tensor,
                           params: ModelParams, cfg: TrainConfig,
                           encoder: StubEncoder) -> MaskTube:
-    """Freeze the labeled prompts on frame 0, then decode every frame with them.
-
-    The frames run through the encoder and the decoder in stacks of
-    ``FRAME_CHUNK``, with the prompts shared by every frame of a stack; the
-    prompts are generated from frame 0's maps in the first stack. A
+    """Freeze the labeled prompts on frame 0, then decode every frame with them
+    (``pipeline.bulk_forward`` with the support shared by every frame). A
     single-frame tube reduces exactly to image inference. Returns a tube
     with the source frames and transforms but predicted masks.
     """
     tube.validate()
-    enc_s = encoder.encode(support_img)
-    mask_feat = downsample_mask(support_mask, encoder.stride)
-    prompts = None
-    predicted: list[Tensor] = []
-    for start in range(0, len(tube), FRAME_CHUNK):
-        chunk = tube.frames[start:start + FRAME_CHUNK]
-        first, sam = encoder.encode_frames(np.stack([f.data for f in chunk]),
-                                            first=prompts is None)
-        if prompts is None:
-            prompts, _ = generate_prompts(enc_s, first, mask_feat, params, cfg)
-        probs = decode(prompts.pos, prompts.neg, sam, cfg.tau)
-        predicted.extend(adopt(m) for m in binarize(upsample_map(probs, encoder.stride)).data)
-    return MaskTube(frames=tube.frames, masks=tuple(predicted), transforms=tube.transforms,
-                    class_id=tube.class_id, seed=tube.seed)
+    probs = bulk_forward(support_img, support_mask, tube.frames, None, params, cfg, encoder).probs
+    masks = binarize(upsample_map(probs, encoder.stride)).data
+    return MaskTube(frames=tube.frames, masks=tuple(adopt(m) for m in masks),
+                    transforms=tube.transforms, class_id=tube.class_id, seed=tube.seed)
 
 
 # On-disk tube layout: frames/frame_%04d.dcst, masks/mask_%04d.dcst, meta.txt.

@@ -8,26 +8,30 @@ batch computes must equal the reference bias of its episode exactly. The
 ``reference`` suite holds the batched forward to the same reference. A bad
 episode inside a batch must fail as it does alone.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 
 import dcsam.attention as attention
+from dcsam import pipeline
 from dcsam import tensor as T
 from dcsam.config import TrainConfig
 from dcsam.episodes import CLASS_COUNT, gen_episode, split_folds, class_registry
 from dcsam.errors import AllMasked, EmptySupportMask, ShapeMismatch
 from dcsam.oracles import BATCH_TOL, BATCH_VARIANTS, batch_gradient_deviations, run_batch_suite
-from dcsam.pipeline import generate_prompts, infer_mask, init_params
+from dcsam.encoder import StubEncoder
+from dcsam.pipeline import bulk_forward, generate_prompts, infer_mask, init_params
 from dcsam.reference import cycle_bias_reference
 from dcsam.tensor import GradTape, Tensor, grad
-from dcsam.trainer import evaluate, stack_episodes
+from dcsam.trainer import evaluate
 
 
 def make_episodes(b, canvas=8, seed=0):
     return [gen_episode((seed + 5 * i) % CLASS_COUNT, 9000 + 31 * seed + i, (canvas, canvas))
             for i in range(b)]
+
+
+def stacked(episodes, name):
+    return Tensor(np.stack([getattr(ep, name).data for ep in episodes]))
 
 
 def recorded_bias_calls(monkeypatch, run):
@@ -98,10 +102,21 @@ def test_batch_suite_catches_a_matmul_gradient_off_by_one_part_in_a_billion(monk
     assert all("deviates by" in line for line in result.detail)
 
 
-def test_stack_episodes_equals_np_stack_and_shares_no_memory():
+def test_episode_stacks_equal_np_stack_and_share_no_memory(monkeypatch):
+    cfg = TrainConfig(seed=5, canvas=8)
     episodes = make_episodes(3)
-    stacked = stack_episodes(episodes)
-    for name, t in zip(("support_img", "support_mask", "query_img", "query_mask"), stacked):
+    images = []
+    original = StubEncoder.encode
+
+    def spy(self, image, batched=False):
+        images.append(image)
+        return original(self, image, batched)
+
+    monkeypatch.setattr(StubEncoder, "encode", spy)
+    bulk_forward([ep.support_img for ep in episodes], [ep.support_mask for ep in episodes],
+                 [ep.query_img for ep in episodes], None, init_params(cfg, cfg.seed), cfg,
+                 cfg.encoder(cfg.seed))
+    for name, t in zip(("support_img", "query_img"), images, strict=True):
         parts = [getattr(ep, name).data for ep in episodes]
         assert t.data.tobytes() == np.stack(parts).tobytes() and t.shape == (3, 8, 8)
         assert not t.data.flags.writeable
@@ -109,23 +124,29 @@ def test_stack_episodes_equals_np_stack_and_shares_no_memory():
 
 
 def test_infer_mask_batched_matches_single():
-    cfg = TrainConfig(seed=5, canvas=8, stride=2)
-    encoder = cfg.encoder(cfg.seed)
-    params = init_params(cfg, cfg.seed)
-    episodes = make_episodes(5)
-    support_img, support_mask, query_img, _ = stack_episodes(episodes)
-    batched = infer_mask(support_img, support_mask, query_img, params, cfg, encoder)
-    for ep, probs in zip(episodes, batched.data):
-        single = infer_mask(ep.support_img, ep.support_mask, ep.query_img, params, cfg, encoder)
-        assert np.abs(single.data - probs).max() <= BATCH_TOL
+    # a single episode shares its support with its one query; a stack runs
+    # each episode with prompts of its own
+    for canvas, stride, neg in ((8, 2, True), (16, 1, False), (32, 2, True), (32, 1, True)):
+        cfg = TrainConfig(seed=5, canvas=canvas, stride=stride, use_neg_branch=neg)
+        encoder = cfg.encoder(cfg.seed)
+        params = init_params(cfg, cfg.seed)
+        episodes = make_episodes(5, canvas)
+        batched = infer_mask(*(stacked(episodes, name) for name in
+                               ("support_img", "support_mask", "query_img")), params, cfg, encoder)
+        for ep, probs in zip(episodes, batched.data):
+            single = infer_mask(ep.support_img, ep.support_mask, ep.query_img, params, cfg,
+                                encoder)
+            assert single.data.tobytes() == probs.tobytes(), (canvas, stride, neg)
 
 
-def test_evaluate_does_not_depend_on_the_chunk_size():
+def test_evaluate_does_not_depend_on_the_chunk_size(monkeypatch):
     fold = split_folds(class_registry(), 1)
-    cfg = TrainConfig(seed=3, canvas=8, batch=1)
+    cfg = TrainConfig(seed=3, canvas=8)
     params = init_params(cfg, seed=0)
-    reports = [evaluate(params, dataclasses.replace(cfg, batch=b), fold, episodes_per_class=3)
-               for b in (1, 5, 64)]
+    reports = []
+    for episodes in (1, 5, 3 * len(fold.test_classes)):    # per stack
+        monkeypatch.setattr(pipeline, "CHUNK_PIXELS", episodes * cfg.canvas ** 2)
+        reports.append(evaluate(params, cfg, fold, episodes_per_class=3))
     assert reports[0] == reports[1] == reports[2]
 
 
@@ -135,9 +156,10 @@ def _prompt_inputs(b, canvas=8):
     cfg = TrainConfig(seed=2, canvas=canvas)
     encoder = cfg.encoder(cfg.seed)
     episodes = make_episodes(b)
-    support_img, support_mask, query_img, _ = stack_episodes(episodes)
-    return (cfg, init_params(cfg, cfg.seed), encoder.encode(support_img, batched=True),
-            encoder.encode(query_img, batched=True), support_mask)
+    return (cfg, init_params(cfg, cfg.seed),
+            encoder.encode(stacked(episodes, "support_img"), batched=True),
+            encoder.encode(stacked(episodes, "query_img"), batched=True),
+            stacked(episodes, "support_mask"))
 
 
 def single_episode(enc_s, enc_q, masks, k):

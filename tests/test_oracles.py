@@ -5,12 +5,11 @@ import pytest
 
 from dcsam import encoder as encoder_module
 from dcsam import episodes as episodes_module
+from dcsam import pipeline as pipeline_module
 from dcsam import tensor as tensor_module
-from dcsam import video as video_module
 from dcsam.config import TrainConfig
 from dcsam.pipeline import init_params, prior_mask
 from dcsam.tensor import Tensor
-from dcsam.trainer import encode_episodes
 from dcsam.oracles import (
     EPISODE_FIELDS,
     FRAME_CASES,
@@ -119,31 +118,36 @@ def test_reference_suite_catches_a_conv1x1_off_by_one_part_in_a_billion(monkeypa
     assert "deviates by" in result.detail[0]
 
 
-def test_a_flat_prior_is_zeros_in_production_and_in_the_reference():
+def test_a_flat_prior_is_zeros_in_production_and_in_the_reference(monkeypatch):
     cfg = TrainConfig(seed=5, canvas=8)
+    encoder = cfg.encoder(cfg.seed)
     episodes = [episodes_module.gen_episode(c, 40 + c, (8, 8)) for c in (0, 5, 9)]
-    enc_s, enc_q, mask_f, gt_f = encode_episodes(episodes, cfg.encoder(cfg.seed))
+    original = encoder_module.StubEncoder.project
 
-    def flat(maps):
+    def flat(self, desc, shape):
         # every position carries the first one's high vector: all cosines are equal
+        maps = original(self, desc, shape)
         high = np.broadcast_to(maps.high.data[..., :1, :1], maps.high.shape)
         return dataclasses.replace(maps, high=Tensor(high))
 
-    enc_s, enc_q = flat(enc_s), flat(enc_q)
+    monkeypatch.setattr(encoder_module.StubEncoder, "project", flat)
+    enc_s, enc_q = (encoder.encode(Tensor(np.stack([getattr(ep, name).data for ep in episodes])),
+                                   batched=True) for name in ("support_img", "query_img"))
+    mask_f = Tensor(np.stack([ep.support_mask.data for ep in episodes]))
     for mask in (mask_f, Tensor(1.0 - mask_f.data)):
         assert not prior_mask(enc_q.high, enc_s.high, mask).data.any()
-    devs = reference_deviations((enc_s, enc_q, mask_f, gt_f), init_params(cfg, cfg.seed), cfg)
+    devs = reference_deviations(episodes, init_params(cfg, cfg.seed), cfg, encoder)
     assert max(devs.values()) <= REFERENCE_TOL, devs
 
 
 def test_tube_suite_passes_and_catches_misordered_frames(monkeypatch):
     assert run_tube_suite().passed
-    original = video_module.decode
+    original = pipeline_module.decode
 
     def reversed_stack(pos, neg, feats, cfg):
-        return original(pos, neg, Tensor(feats.data[::-1]), cfg)
+        return original(pos, neg, Tensor(feats.data[::-1]) if feats.ndim == 4 else feats, cfg)
 
-    monkeypatch.setattr(video_module, "decode", reversed_stack)
+    monkeypatch.setattr(pipeline_module, "decode", reversed_stack)
     result = run_tube_suite(trials=12, seed=0)
     assert not result.passed
     assert any("predicted masks differ" in line for line in result.detail)

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcsam import encoder as encoder_module
 from dcsam import tensor as T
-from dcsam.config import TrainConfig
+from dcsam.config import TrainConfig, load_config
 from dcsam.decoder import decode
 from dcsam.encoder import EncoderMaps, StubEncoder
-from dcsam.episodes import gen_episode
+from dcsam.episodes import class_registry, gen_episode, split_folds
 from dcsam.errors import EmptySupportMask, ShapeMismatch
 from dcsam.losses import total_loss
 from dcsam.pipeline import (
@@ -29,6 +30,8 @@ from dcsam.pipeline import (
     watch_params,
 )
 from dcsam.tensor import GradTape, Tensor, grad
+from dcsam.trainer import evaluate
+from dcsam.video import make_tube, propagate_first_frame
 
 
 CFG = TrainConfig(seed=0, embed_dim=6, n_queries=4, mid_channels=3, high_channels=3)
@@ -352,3 +355,26 @@ def test_infer_mask_respects_stride():
     assert out.shape == (16, 16)
     # nearest-neighbor upsample repeats each feature cell over its 2x2 block
     assert np.array_equal(out.data[::2, ::2], out.data[1::2, 1::2])
+
+
+def test_the_benchmark_workloads_keep_their_stacks(monkeypatch):
+    # 16 evaluation episodes at canvas 16 are one stack per side; a 32-frame
+    # tube at canvas 32 runs in stacks of 4 frames after its support image
+    calls = []
+    original = encoder_module._descriptors
+
+    def counting(img):
+        calls.append(img.shape)
+        return original(img)
+
+    monkeypatch.setattr(encoder_module, "_descriptors", counting)
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.cfg")
+    fold = split_folds(class_registry(), 0)
+    evaluate(init_params(cfg, seed=1), cfg, fold, episodes_per_class=16 // len(fold.test_classes))
+    assert calls == [(16, 16, 16)] * 2
+    calls.clear()
+    tube_cfg = dataclasses.replace(cfg, canvas=32)
+    ep = gen_episode(3, 5, (32, 32))
+    propagate_first_frame(make_tube(ep, 32, seed=2), ep.support_img, ep.support_mask,
+                          init_params(tube_cfg, seed=1), tube_cfg, tube_cfg.encoder(0))
+    assert calls == [(32, 32)] + [(4, 32, 32)] * 8

@@ -23,9 +23,9 @@ from dcsam.episodes import CLASS_COUNT, class_registry, gen_episode, split_folds
 from dcsam.errors import EmptySupportMask
 from dcsam.oracles import (BATCH_TOL, REFERENCE_TOL, batch_gradient_deviations,
                            reference_deviations, tube_mismatches)
-from dcsam.pipeline import ModelParams, init_params, max_cosine_map
+from dcsam.pipeline import ModelParams, bulk_forward, downsample_mask, init_params, max_cosine_map
 from dcsam.tensor import Tensor
-from dcsam.trainer import batch_forward, encode_episodes, train
+from dcsam.trainer import train
 from dcsam.video import make_tube
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -39,6 +39,18 @@ def test_the_reference_states_the_episodes_constants():
 def random_episodes(rng, count, canvas):
     return [gen_episode(int(rng.integers(0, CLASS_COUNT)), int(rng.integers(0, 2**31)),
                         (canvas, canvas)) for _ in range(count)]
+
+
+def stacked(episodes, name):
+    return Tensor(np.stack([getattr(ep, name).data for ep in episodes]))
+
+
+def encoded(episodes, encoder):
+    """The episodes' stacked support and query maps, and their support masks
+    at the feature resolution."""
+    return (encoder.encode(stacked(episodes, "support_img"), batched=True),
+            encoder.encode(stacked(episodes, "query_img"), batched=True),
+            downsample_mask(stacked(episodes, "support_mask"), encoder.stride))
 
 
 @st.composite
@@ -69,7 +81,7 @@ FLAT_PRIOR = TrainConfig(seed=20626, canvas=22, embed_dim=5, n_queries=54, mid_c
                          high_channels=2, tau=5.698737184669555, use_sam_fusion=False)
 
 
-def forward_tolerance(inputs, cfg) -> float:
+def forward_tolerance(episodes, encoder, cfg) -> float:
     """``REFERENCE_TOL``, or more where the prior mask is ill-conditioned.
 
     The prior is min-max normalized, (raw - min) / span, over a map of best
@@ -85,7 +97,7 @@ def forward_tolerance(inputs, cfg) -> float:
     """
     if not cfg.use_prior_mask:
         return REFERENCE_TOL
-    enc_s, enc_q, mask_f, _ = inputs
+    enc_s, enc_q, mask_f = encoded(episodes, encoder)
     branch_masks = [mask_f.data] + ([1.0 - mask_f.data] if cfg.use_neg_branch else [])
     span = min(float(np.ptp(max_cosine_map(enc_q.high, enc_s.high, Tensor(m)).data
                             .reshape(len(m), -1), axis=1).min()) for m in branch_masks)
@@ -101,14 +113,13 @@ def hold_to_reference(cfg, episodes):
     ``EmptySupportMask``."""
     encoder = cfg.encoder(cfg.seed)
     params = init_params(cfg, cfg.seed)
-    inputs = encode_episodes(episodes, encoder)
-    masks = inputs[2].data.reshape(len(episodes), -1)
+    masks = encoded(episodes, encoder)[2].data.reshape(len(episodes), -1)
     if not masks.any(axis=1).all() or (cfg.use_neg_branch and not (masks == 0.0).any(axis=1).all()):
         with pytest.raises(EmptySupportMask):
-            reference_deviations(inputs, params, cfg)
+            reference_deviations(episodes, params, cfg, encoder)
         return
-    devs = reference_deviations(inputs, params, cfg)
-    assert max(devs.values()) <= forward_tolerance(inputs, cfg), f"forward deviates: {devs}"
+    devs = reference_deviations(episodes, params, cfg, encoder)
+    assert max(devs.values()) <= forward_tolerance(episodes, encoder, cfg), f"forward deviates: {devs}"
     grads = batch_gradient_deviations(episodes, params, cfg, encoder,
                                       np.random.default_rng(cfg.seed), per_tensor=False)
     assert grads["grad all"] <= BATCH_TOL, f"gradient deviates: {grads}"
@@ -124,10 +135,10 @@ def test_production_holds_to_the_reference_over_the_settable_configs(draw):
 
 
 def test_the_explicit_examples_reach_their_corners():
-    masks = encode_episodes([gen_episode(1, 0, (8, 8))], EMPTY_NEGATIVE.encoder(3))[2].data
+    masks = encoded([gen_episode(1, 0, (8, 8))], EMPTY_NEGATIVE.encoder(3))[2].data
     assert (masks == 1.0).all()
-    inputs = encode_episodes([gen_episode(1, 262144, (22, 22))], FLAT_PRIOR.encoder(20626))
-    assert forward_tolerance(inputs, FLAT_PRIOR) > 10 * REFERENCE_TOL
+    flat = [gen_episode(1, 262144, (22, 22))]
+    assert forward_tolerance(flat, FLAT_PRIOR.encoder(20626), FLAT_PRIOR) > 10 * REFERENCE_TOL
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +157,7 @@ def hold_trained_to_reference(cfg, params):
     rng = np.random.default_rng(60)
     for b in (1, 3, 8):
         episodes = random_episodes(rng, b, cfg.canvas)
-        devs = reference_deviations(encode_episodes(episodes, encoder), params, cfg)
+        devs = reference_deviations(episodes, params, cfg, encoder)
         assert max(devs.values()) <= REFERENCE_TOL, f"forward deviates at B={b}: {devs}"
         grads = batch_gradient_deviations(episodes, params, cfg, encoder, rng, per_tensor=b == 1)
         assert max(grads.values()) <= BATCH_TOL, f"gradient deviates at B={b}: {grads}"
@@ -196,10 +207,13 @@ def test_probabilities_at_ten_times_trained_parameters_stay_within_the_logit_sca
     # that size, so probs can leave REFERENCE_TOL while nothing else does.
     cfg, params = trained
     big = ModelParams.from_named({name: Tensor(10.0 * t.data) for name, t in params.named().items()})
-    inputs = encode_episodes(random_episodes(np.random.default_rng(600), 8, cfg.canvas),
-                             cfg.encoder(cfg.seed))
-    devs = reference_deviations(inputs, big, cfg)
-    bound = probs_bound(batch_forward(*inputs, big, cfg)[0], inputs[1].sam.data, cfg.tau, devs)
+    encoder = cfg.encoder(cfg.seed)
+    episodes = random_episodes(np.random.default_rng(600), 8, cfg.canvas)
+    devs = reference_deviations(episodes, big, cfg, encoder)
+    prompts = bulk_forward(*([getattr(ep, name) for ep in episodes] for name in
+                             ("support_img", "support_mask", "query_img", "query_mask")),
+                           big, cfg, encoder).prompts       # a training forward: one stack
+    bound = probs_bound(prompts, encoded(episodes, encoder)[1].sam.data, cfg.tau, devs)
     assert devs.pop("probs") <= bound, bound
     assert max(devs.values()) <= REFERENCE_TOL, devs
 

@@ -16,8 +16,8 @@ from dcsam.encoder import EncoderMaps
 from dcsam.episodes import class_registry, gen_episode, split_folds
 from dcsam.errors import CheckpointMissing, DivergenceDetected, EmptyReport, IoError
 from dcsam.losses import total_loss
-from dcsam.pipeline import (ModelParams, downsample_mask, generate_prompts, init_params,
-                            watch_params)
+from dcsam.pipeline import (ModelParams, bulk_forward, downsample_mask, generate_prompts,
+                            init_params, watch_params)
 from dcsam import tensor as T
 from dcsam.tensor import GradTape, Tensor, grad
 from dcsam.trainer import (
@@ -32,7 +32,6 @@ from dcsam.trainer import (
     save_checkpoint,
     train,
     train_step,
-    tube_loss,
 )
 from dcsam.video import make_tube
 
@@ -222,10 +221,16 @@ def tube_case(stride=1, frames=5):
             cfg.encoder(cfg.seed))
 
 
+def tube_loss(ep, tube, params, cfg, encoder):
+    """A tube step's loss: the episode's support shared by every frame."""
+    return bulk_forward(ep.support_img, ep.support_mask, tube.frames, tube.masks, params, cfg,
+                        encoder).loss
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_tube_loss_is_the_mean_of_frame_losses(stride):
     ep, tube, params, cfg, encoder = tube_case(stride)
-    got = tube_loss(ep.support_img, ep.support_mask, tube, params, cfg, encoder).item()
+    got = tube_loss(ep, tube, params, cfg, encoder).item()
     prompts, _ = generate_prompts(encoder.encode(ep.support_img), encoder.encode(tube.frames[0]),
                                   downsample_mask(ep.support_mask, stride), params, cfg)
     terms = [total_loss(decode(prompts.pos, prompts.neg, encoder.encode(frame).sam, cfg.tau),
@@ -244,11 +249,11 @@ def test_tube_loss_encodes_frame_zero_once(monkeypatch):
         return original(img)
 
     monkeypatch.setattr(encoder_module, "_descriptors", counting)
-    got = tube_loss(ep.support_img, ep.support_mask, tube, params, cfg, encoder).item()
+    got = tube_loss(ep, tube, params, cfg, encoder).item()
     monkeypatch.undo()
-    # one descriptor pass over the frame stack and one over the support image;
-    # frame 0's maps come from the stack
-    assert calls == [(len(tube),) + tube.frames[0].shape, ep.support_img.shape]
+    # one descriptor pass over the support image and one over the frame
+    # stack; frame 0's maps come from the stack
+    assert calls == [ep.support_img.shape, (len(tube),) + tube.frames[0].shape]
     # exactly the value of prompts from a separate encode of frame 0
     prompts, _ = generate_prompts(encoder.encode(ep.support_img), encoder.encode(tube.frames[0]),
                                   downsample_mask(ep.support_mask, 1), params, cfg)
@@ -263,7 +268,7 @@ def test_tube_loss_encodes_frame_zero_once(monkeypatch):
 @pytest.mark.parametrize("frames", [1, 3, 5])
 def test_tube_loss_equals_encoding_every_frame_to_every_map(frames, stride):
     ep, tube, params, cfg, encoder = tube_case(stride, frames)
-    got = tube_loss(ep.support_img, ep.support_mask, tube, params, cfg, encoder)
+    got = tube_loss(ep, tube, params, cfg, encoder)
     # all three maps of the whole stack, frame 0's sliced out for the prompts
     maps = encoder.encode(Tensor(np.stack([f.data for f in tube.frames])), batched=True)
     first = EncoderMaps(*(Tensor(m.data[0]) for m in (maps.mid, maps.high, maps.sam)))
@@ -280,7 +285,7 @@ def test_tube_loss_gradients_match_central_differences():
     ep, tube, params, cfg, encoder = tube_case()
 
     def loss_at(p):
-        return tube_loss(ep.support_img, ep.support_mask, tube, p, cfg, encoder)
+        return tube_loss(ep, tube, p, cfg, encoder)
 
     tape = GradTape()
     tracked, name_map = watch_params(tape, params)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsam import video
+from dcsam import pipeline
 from dcsam.config import TrainConfig
 from dcsam.encoder import StubEncoder
 from dcsam.episodes import gen_episode
@@ -333,8 +333,8 @@ def test_chunked_propagation_equals_the_frame_loop(monkeypatch, stride, neg):
         ep = gen_episode(3, 12, (canvas, canvas))
         tube = make_tube(ep, frames, seed=frames)
         masks = []
-        for chunk in (1, 4, frames):
-            monkeypatch.setattr(video, "FRAME_CHUNK", chunk)
+        for chunk in (1, 4, frames):    # frames per stack
+            monkeypatch.setattr(pipeline, "CHUNK_PIXELS", chunk * canvas ** 2)
             pred = propagate_first_frame(tube, ep.support_img, ep.support_mask, params, cfg,
                                          encoder)
             masks.append(np.stack([m.data for m in pred.masks]))
